@@ -30,6 +30,7 @@ from .gr1 import solve_gr1_emb
 from .solver import MTSolveResult, SolveOptions, solve_mt
 from .specs import MTSpec, format_spec_file, parse_mt_formula, parse_spec_file
 from .strategy import (
+    CHECK_MAX_STATES,
     check_strategy,
     extract_strategy,
     format_strategy,
@@ -112,7 +113,9 @@ def _thread_count() -> int:
         if value < 1:
             raise _Usage("MTGAMES_THREADS must be at least 1")
         return value
-    return min(8, os.cpu_count() or 1)
+    # Serial by default: the solvers hold the interpreter lock for most of
+    # their time, so more threads only add contention.
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +232,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     game = load_game(_read(args.game))
     spec = parse_spec_file(_read(args.spec))
-    strategy = parse_strategy(_read(args.strategy))
+    strategy = parse_strategy(_read(args.strategy), game.n)
     winning = parse_winning(_read(args.winning), game.n)
+    if strategy.winning_size is not None and strategy.winning_size != len(winning):
+        raise _Usage(
+            f"strategy file claims {strategy.winning_size} winning state(s), "
+            f"the winning-set file lists {len(winning)}"
+        )
     verdict = check_strategy(
         game, spec, strategy, winning, max_states=args.max_states
     )
@@ -383,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("spec")
     k.add_argument("strategy", help="strategy file (move lines)")
     k.add_argument("winning", help="winning-set file (one state per line)")
-    k.add_argument("--max-states", type=int, default=2000)
+    k.add_argument("--max-states", type=int, default=CHECK_MAX_STATES)
     k.set_defaults(func=cmd_check)
 
     r = sub.add_parser("gen-robot", help="generate a cleaning-robot instance")
@@ -440,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 4
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

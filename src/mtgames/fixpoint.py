@@ -53,7 +53,9 @@ class FixpointEngine:
     def full(self) -> StateSet:
         return self._full
 
-    def pre(self, s: StateSet) -> StateSet:
+    def pre(self, s: StateSet | np.ndarray) -> StateSet | np.ndarray:
+        """Counted Pre of a StateSet, or of a boolean mask as the loops
+        below pass it; the result has the same type."""
         self.stats.pre_count += 1
         return pre(self.game, s)
 
@@ -133,33 +135,46 @@ def solve_persistence_reach(
     ``x_seeds`` warm-starts the inner fixed points; each seed must
     dominate every inner fixed point of this run.
     """
-    reach = reach_set if reach_set is not None else engine.empty
-    persist = list(persist_sets)
-    final_x: list[StateSet] = [engine.full] * len(persist)
-    y = engine.empty
-    y_iterates: list[StateSet] | None = [y] if record else None
+    # The loops run on the raw boolean masks; StateSets are made only for
+    # the result. An inner iterate never grows (it is intersected with its
+    # predecessor), so an unchanged size means an unchanged set.
+    persist = [p.bits for p in persist_sets]
+    reach = reach_set.bits if reach_set is not None else engine.empty.bits
+    seeds = [s.bits for s in x_seeds] if x_seeds is not None else None
+    if any(b.shape != (engine.game.n,) for b in (*persist, reach, *(seeds or ()))):
+        raise ValueError("set universe does not match game")
+    full = engine.full.bits
+    y = engine.empty.bits
+    y_iterates: list[StateSet] | None = [engine.empty] if record else None
     x_iterates: list[list[StateSet]] | None = [] if record else None
 
     while True:
-        base = reach | engine.pre(y)
-        new_y = base
-        x_row: list[StateSet] = []
+        base = engine.pre(y)
+        base |= reach
+        new_y = base.copy()
+        x_row: list[np.ndarray] = []
         for j, p in enumerate(persist):
-            seed = x_seeds[j] if x_seeds is not None else None
-            x = engine.gfp(
-                lambda s, p=p, base=base: (engine.pre(s) & p) | base,
-                seed=seed,
-            )
-            final_x[j] = x
+            x = seeds[j] if seeds is not None else full
+            size = np.count_nonzero(x)
+            while True:
+                nxt = engine.pre(x)
+                nxt &= p
+                nxt |= base
+                nxt &= x
+                nxt_size = np.count_nonzero(nxt)
+                if nxt_size == size:
+                    break
+                x, size = nxt, nxt_size
             x_row.append(x)
-            new_y = new_y | x
-        if new_y == y:
+            new_y |= x
+        if np.array_equal(new_y, y):
             break
         y = new_y
         if record:
-            y_iterates.append(y)
-            x_iterates.append(x_row)
-    return PersistenceReachResult(y, final_x, y_iterates, x_iterates)
+            y_iterates.append(StateSet._wrap(y))
+            x_iterates.append([StateSet._wrap(x) for x in x_row])
+    final_x = [StateSet._wrap(x) for x in x_row]
+    return PersistenceReachResult(StateSet._wrap(y), final_x, y_iterates, x_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +283,21 @@ def solve_stable_conjunction(
     engine = FixpointEngine(game)
     stats = engine.stats
     m = len(persist_matrix)
+    exits = [e.bits for e in exit_bases]
     seeds: list[list[StateSet] | None] = [None] * m
     traces: list[ModeTrace] | None = [None] * m if record else None
 
     t0 = time.perf_counter()
-    z = engine.full
+    z = engine.full.bits
     while True:
         stats.outer_iterations += 1
         pre_z = engine.pre(z)
-        new_z = z
+        new_z = z.copy()
         for i in range(m):
             res = solve_persistence_reach(
                 engine,
                 persist_matrix[i],
-                exit_bases[i] & pre_z,
+                StateSet._wrap(exits[i] & pre_z),
                 x_seeds=seeds[i],
                 record=record,
             )
@@ -291,9 +307,9 @@ def solve_stable_conjunction(
                 traces[i] = ModeTrace.from_iterates(
                     res.y_iterates, res.x_iterates, len(persist_matrix[i])
                 )
-            new_z = new_z & res.value
-        if new_z == z:
+            new_z &= res.value.bits
+        if np.array_equal(new_z, z):
             break
         z = new_z
     stats.wall_time_s = time.perf_counter() - t0
-    return NestedSolveOutcome(z, stats, engine, traces)
+    return NestedSolveOutcome(StateSet._wrap(z), stats, engine, traces)

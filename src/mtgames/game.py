@@ -29,13 +29,18 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GameParseError, ValidationError
+from .errors import BoundExceeded, GameParseError, ValidationError
 from .sets import StateSet
 
 PLAYER0 = 0
 PLAYER1 = 1
 
 PROP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Largest state count load_game accepts. Generated and benchmarked games
+# stay far below it (n <= 20000); a larger count in a file would ask for
+# memory before a single edge is read.
+MAX_STATES = 10_000_000
 
 
 class GameGraph:
@@ -82,21 +87,16 @@ class GameGraph:
         if src.size and (src.min() < 0 or src.max() >= n):
             raise ValueError("edge source out of range")
         # Dangling targets are representable so validate_graph can report them.
-        order = np.argsort(src, kind="stable")
+        if canonical:
+            order, again = _sorted_edges(src, dst)
+            order = order[~again]
+        else:
+            order = np.argsort(src, kind="stable")
         src, dst = src[order], dst[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        if canonical:
-            rows = []
-            for v in range(n):
-                row = np.unique(dst[indptr[v] : indptr[v + 1]])
-                rows.append(row)
-            counts = np.fromiter((r.size for r in rows), dtype=np.int64, count=n)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            dst = np.concatenate(rows) if rows else dst[:0]
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
-        self._indices = dst.astype(np.int64)
+        self._indices = dst
         self._indptr.flags.writeable = False
         self._indices.flags.writeable = False
 
@@ -124,6 +124,11 @@ class GameGraph:
         self._outdeg = np.diff(self._indptr)
         self._is_p0 = self._owner == PLAYER0
         self._is_p0.flags.writeable = False
+        # A state is in Pre(X) iff more than this many of its successors lie
+        # in X: none for Player 0, all but one for Player 1. A Player 1
+        # state with no successor has -1, so it is in every Pre. int32 like
+        # the successor counts, so the comparison needs no cast.
+        self._pre_floor = np.where(self._is_p0, 0, self._outdeg - 1).astype(np.int32)
 
     @property
     def n(self) -> int:
@@ -195,6 +200,11 @@ class GameGraph:
         """Per-state count of successors inside the given boolean mask."""
         return self._matrix() @ mask.astype(np.int32)
 
+    def pre_mask(self, mask: np.ndarray) -> np.ndarray:
+        """Controllable predecessor of a length-n boolean mask, as a fresh
+        mask; see :func:`pre`."""
+        return self.count_successors_in(mask) > self._pre_floor
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameGraph):
             return NotImplemented
@@ -242,43 +252,63 @@ def _edge_arrays(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarr
     return arr[:, 0], arr[:, 1]
 
 
-def pre(game: GameGraph, target: StateSet) -> StateSet:
+def _sorted_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges' stable order by (source, target), and for each position
+    of that order whether its edge repeats the one before, i.e. is a
+    later copy of an edge."""
+    order = np.lexsort((dst, src))
+    s, d = src[order], dst[order]
+    again = np.zeros(order.size, dtype=bool)
+    again[1:] = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
+    return order, again
+
+
+def pre(game: GameGraph, target: StateSet | np.ndarray) -> StateSet | np.ndarray:
     """Controllable predecessor of ``target``.
 
     A Player 0 state belongs to the result iff some successor is in
-    ``target``; a Player 1 state iff all successors are. Assumes a valid
-    (in particular total) graph.
+    ``target``; a Player 1 state iff all successors are. ``target`` is a
+    StateSet, or a boolean mask of length n as the fixed-point loops pass
+    it; the result has the same type.
     """
+    if not isinstance(target, StateSet):
+        return game.pre_mask(target)
     if target.universe != game.n:
         raise ValueError("target universe does not match game")
-    cnt = game.count_successors_in(target.bits)
-    hit = np.where(game.is_player0_mask, cnt > 0, cnt == game._outdeg)
-    return StateSet.from_mask(hit)
+    return StateSet._wrap(game.pre_mask(target.bits))
 
 
 def validate_graph(game: GameGraph) -> list[str]:
     """Collect structural violations; an empty list means valid.
 
-    Reported issues: dangling successor indices, states with no
-    successor (totality), duplicate edges.
+    Reported per state, in state order: no successor (totality), then
+    successor indices out of range, then duplicate edges, each in the
+    order of the state's successor list.
     """
-    issues: list[str] = []
     n = game.n
-    for v in range(n):
-        row = game.successors(v)
-        if row.size == 0:
-            issues.append(f"state {v}: no successor")
-            continue
-        bad = row[(row < 0) | (row >= n)]
-        for w in bad:
-            issues.append(f"state {v}: edge target {int(w)} out of range")
-        seen = set()
-        for w in row:
-            w = int(w)
-            if w in seen:
-                issues.append(f"state {v}: duplicate edge to {w}")
-            seen.add(w)
-    return issues
+    indptr, dst = game._indptr, game._indices
+    degree = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    order, again = _sorted_edges(src, dst)
+    lonely = np.flatnonzero(degree == 0)
+    bad = np.flatnonzero((dst < 0) | (dst >= n))
+    dup = order[again]
+    # Issues of kind 0, 1, 2, sorted by (state, kind, position in the list);
+    # the no-successor template ignores its target.
+    state = np.concatenate((lonely, src[bad], src[dup]))
+    kind = np.repeat([0, 1, 2], (lonely.size, bad.size, dup.size))
+    pos = np.concatenate((np.zeros_like(lonely), bad, dup))
+    target = np.concatenate((np.zeros_like(lonely), dst[bad], dst[dup]))
+    at = np.lexsort((pos, kind, state))
+    templates = (
+        "state {}: no successor",
+        "state {}: edge target {} out of range",
+        "state {}: duplicate edge to {}",
+    )
+    return [
+        templates[k].format(v, w)
+        for v, k, w in zip(state[at].tolist(), kind[at].tolist(), target[at].tolist())
+    ]
 
 
 _SECTIONS = ("states", "owner", "edge", "label")
@@ -288,8 +318,9 @@ def load_game(text: str) -> GameGraph:
     """Parse the game text format into a canonical :class:`GameGraph`.
 
     Raises :class:`GameParseError` with a line number on malformed
-    input, and :class:`ValidationError` listing structural issues
-    (totality, duplicate edges, dangling targets).
+    input, :class:`BoundExceeded` for more than ``MAX_STATES`` states, and
+    :class:`ValidationError` listing structural issues (totality,
+    duplicate edges).
     """
     n: int | None = None
     owners: list[int | None] = []
@@ -326,6 +357,10 @@ def load_game(text: str) -> GameGraph:
             n = parse_int(parts[1], "state count", lineno)
             if n < 0:
                 raise GameParseError("state count must be nonnegative", lineno)
+            if n > MAX_STATES:
+                raise BoundExceeded(
+                    f"line {lineno}: state count {n} exceeds the bound {MAX_STATES}"
+                )
             owners = [None] * n
             continue
         if n is None:
@@ -374,11 +409,13 @@ def load_game(text: str) -> GameGraph:
     if missing:
         raise GameParseError(f"missing owner for state {missing[0]}")
 
-    raw = GameGraph(n, [int(o) for o in owners], edges, labels, canonical=False)
-    issues = validate_graph(raw)
-    if issues:
-        raise ValidationError("; ".join(issues))
-    return GameGraph(n, [int(o) for o in owners], edges, labels)
+    game = GameGraph(n, owners, edges, labels)
+    # Targets were range-checked above, so the only possible issues are a
+    # state without successor and duplicates, which canonical form drops.
+    if game.num_edges != len(edges) or not game._outdeg.all():
+        raw = GameGraph(n, owners, edges, labels, canonical=False)
+        raise ValidationError("; ".join(validate_graph(raw)))
+    return game
 
 
 def serialize_game(game: GameGraph) -> str:

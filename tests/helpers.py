@@ -97,3 +97,65 @@ def random_graph(seed: int, n: int | None = None) -> GameGraph:
 def random_subset(seed: int, n: int) -> StateSet:
     rng = np.random.default_rng(seed)
     return StateSet.from_mask(rng.random(n) < 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the vectorized graph code, kept as oracles
+
+
+def validate_graph_loop(game: GameGraph) -> list[str]:
+    """Structural issues of ``game``, one state at a time."""
+    issues: list[str] = []
+    n = game.n
+    for v in range(n):
+        row = game.successors(v)
+        if row.size == 0:
+            issues.append(f"state {v}: no successor")
+            continue
+        bad = row[(row < 0) | (row >= n)]
+        for w in bad:
+            issues.append(f"state {v}: edge target {int(w)} out of range")
+        seen = set()
+        for w in row:
+            w = int(w)
+            if w in seen:
+                issues.append(f"state {v}: duplicate edge to {w}")
+            seen.add(w)
+    return issues
+
+
+def canonical_rows_loop(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the sorted, deduplicated successor lists."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    rows = [np.unique(dst[indptr[v] : indptr[v + 1]]) for v in range(n)]
+    counts = np.fromiter((r.size for r in rows), dtype=np.int64, count=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.concatenate(rows) if rows else dst[:0]
+    return indptr, indices
+
+
+def pre_where(game: GameGraph, target: StateSet) -> StateSet:
+    """Controllable predecessor through one np.where over the successor
+    counts."""
+    cnt = game.count_successors_in(target.bits)
+    outdeg = np.diff(game._indptr)
+    return StateSet.from_mask(np.where(game.is_player0_mask, cnt > 0, cnt == outdeg))
+
+
+def random_raw_edges(seed: int) -> tuple[int, list[int], np.ndarray, np.ndarray]:
+    """(n, owners, src, dst) of a random edge list. Targets are drawn from
+    -2..n+1, so with up to 3n edges over few states the lists have states
+    with no successor, negative and out-of-range targets, and duplicates."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 9))
+    owners = rng.integers(0, 2, size=n).tolist()
+    m = int(rng.integers(0, 3 * n + 1))
+    src = rng.integers(0, max(n, 1), size=m)
+    dst = rng.integers(-2, n + 2, size=m)
+    return n, owners, src, dst

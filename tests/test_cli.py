@@ -3,9 +3,11 @@ and the compare harness."""
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,62 @@ def test_check_state_bound_exit_code(g1_files, tmp_path, capsys):
     assert rc == 4
 
 
+def _solved_g1(g1_files, tmp_path):
+    game_path, spec_path = g1_files
+    win_path, strat_path = tmp_path / "w.txt", tmp_path / "s.txt"
+    argv = ["solve", str(game_path), str(spec_path)]
+    assert cli.main(argv + ["--winning", str(win_path), "--strategy", str(strat_path)]) == 0
+    return [str(game_path), str(spec_path), str(strat_path), str(win_path)]
+
+
+def test_check_rejects_move_for_missing_state(g1_files, tmp_path, capsys):
+    files = _solved_g1(g1_files, tmp_path)
+    with open(files[2], "a", encoding="utf-8") as fh:
+        fh.write("move 9 0\n")
+    assert cli.main(["check", *files]) == 2
+    assert "move for state 9 out of range" in capsys.readouterr().err
+
+
+def test_check_rejects_winning_header_mismatch(g1_files, tmp_path, capsys):
+    files = _solved_g1(g1_files, tmp_path)
+    strat = Path(files[2])
+    text = strat.read_text(encoding="utf-8")
+    assert text.startswith("# winning 2 states\n")
+    strat.write_text(text.replace("# winning 2", "# winning 3"), encoding="utf-8")
+    assert cli.main(["check", *files]) == 2
+    assert "claims 3 winning state(s)" in capsys.readouterr().err
+    # Without a header there is nothing to disagree with.
+    strat.write_text(text.replace("# winning 2 states\n", ""), encoding="utf-8")
+    assert cli.main(["check", *files]) == 0
+
+
+def test_check_default_bound_admits_three_room_robot(tmp_path, capsys):
+    prefix = str(tmp_path / "robot3")
+    assert cli.main(["gen-robot", "--rooms", "3", "--out", prefix]) == 0
+    assert "3584 states" in capsys.readouterr().out
+    game, spec = prefix + ".game", prefix + ".spec"
+    strat, win = prefix + ".strat", prefix + ".win"
+    assert cli.main(["solve", game, spec, "--strategy", strat, "--winning", win]) == 0
+    assert cli.main(["check", game, spec, strat, win]) == 0
+
+
+def test_oversized_state_count_exits_4(tmp_path, capsys):
+    path = tmp_path / "huge.game"
+    path.write_text("states 99999999999\n", encoding="utf-8")
+    assert cli.main(["solve", str(path), "--ltl", "(FG M1 -> FG T1)"]) == 4
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_memory_error_exits_4(g1_files, monkeypatch, capsys):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_game", exhausted)
+    game_path, spec_path = g1_files
+    assert cli.main(["solve", str(game_path), str(spec_path)]) == 4
+    assert "out of memory" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -302,6 +360,18 @@ def test_compare_thread_env(instance_dir, capsys, monkeypatch):
     assert cli.main(["compare", str(instance_dir)]) == 2
     monkeypatch.setenv("MTGAMES_THREADS", "0")
     assert cli.main(["compare", str(instance_dir)]) == 2
+
+
+def test_compare_runs_serially_by_default(instance_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MTGAMES_THREADS", raising=False)
+    assert cli._thread_count() == 1
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["compare", str(instance_dir), "--csv", str(a)]) == 0
+    monkeypatch.setenv("MTGAMES_THREADS", "4")
+    assert cli.main(["compare", str(instance_dir), "--csv", str(b)]) == 0
+    assert strip_wall_ms(a.read_text(encoding="utf-8")) == strip_wall_ms(
+        b.read_text(encoding="utf-8")
+    )
 
 
 def test_compare_csv_deterministic_modulo_wall_ms(instance_dir, tmp_path, capsys, monkeypatch):
@@ -471,10 +541,15 @@ def test_gen_series_cli_errors(tmp_path):
 
 def test_module_entry_point(g1_files):
     game_path, spec_path = g1_files
+    # The child imports the package this process imported, also when only
+    # the pytest configuration put it on the path.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mtgames.cli", "solve", str(game_path), str(spec_path)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "winning_size=2" in proc.stdout

@@ -104,6 +104,14 @@ def test_persistence_full_and_empty(g2_game):
     assert set(solve_persistence_reach(engine, [engine.empty]).value) == set()
 
 
+def test_persistence_rejects_sets_of_another_universe(g2_game):
+    engine = FixpointEngine(g2_game)
+    with pytest.raises(ValueError):
+        solve_persistence_reach(engine, [StateSet(1, [0])])
+    with pytest.raises(ValueError):
+        solve_persistence_reach(engine, [], StateSet(3, [0]))
+
+
 def test_persistence_frozen_g2(g2_game):
     engine = FixpointEngine(g2_game)
     res = solve_persistence_reach(engine, [StateSet(2, [1])])
@@ -263,3 +271,54 @@ def test_driver_pre_count_deterministic(g1_game, one_mode_spec):
     b = solve_stable_conjunction(g1_game, p, e)
     assert a.stats.pre_count == b.stats.pre_count
     assert a.stats.outer_iterations == b.stats.outer_iterations
+
+
+# ---------------------------------------------------------------------------
+# Every counted Pre is one call through mtgames.fixpoint.pre
+
+
+def _counting_pre(monkeypatch):
+    import mtgames.fixpoint
+
+    calls = []
+    original = mtgames.fixpoint.pre
+
+    def counted(game, target):
+        calls.append(None)
+        return original(game, target)
+
+    monkeypatch.setattr(mtgames.fixpoint, "pre", counted)
+    return calls
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("record", [False, True])
+def test_pre_calls_equal_pre_count_direct_and_embedded(monkeypatch, warm, record):
+    from mtgames.benchgen import gen_random_game
+    from mtgames.gr1 import solve_gr1_emb
+    from mtgames.solver import SolveOptions, solve_mt
+
+    calls = _counting_pre(monkeypatch)
+    options = SolveOptions(warm=warm, record=record)
+    for seed in range(4):
+        game, spec = gen_random_game(40, 3, [3, 1, 2], 2.0, seed)
+        for solve in (solve_mt, solve_gr1_emb):
+            calls.clear()
+            result = solve(game, spec, options)
+            assert result.stats.pre_count > 0
+            assert len(calls) == result.stats.pre_count, (solve.__name__, seed)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_pre_calls_equal_pre_count_generic_gr1(monkeypatch, warm):
+    from mtgames.benchgen import gen_random_game
+    from mtgames.gr1 import embed, solve_gr1
+
+    calls = _counting_pre(monkeypatch)
+    for seed in range(4):
+        game, spec = gen_random_game(40, 3, [3, 1, 2], 2.0, seed)
+        gr1 = embed(game, spec).spec()
+        calls.clear()
+        result = solve_gr1(game, gr1, warm=warm)
+        assert result.stats.pre_count > 0
+        assert len(calls) == result.stats.pre_count, seed

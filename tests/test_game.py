@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from mtgames.errors import GameParseError, UnboundProposition, ValidationError
+from mtgames.errors import (
+    BoundExceeded,
+    GameParseError,
+    UnboundProposition,
+    ValidationError,
+)
 from mtgames.game import (
+    MAX_STATES,
     PLAYER0,
     PLAYER1,
     GameGraph,
@@ -126,6 +132,24 @@ def test_pre_monotone(seed, extra):
     assert pre(g, small) <= pre(g, big)
 
 
+def test_pre_matches_where_kernel_on_random_graphs():
+    for seed in range(40):
+        g = helpers.random_graph(seed)
+        s = helpers.random_subset(seed + 2000, g.n)
+        assert pre(g, s) == helpers.pre_where(g, s), f"seed {seed}"
+        assert np.array_equal(pre(g, s.bits), pre(g, s).bits)
+
+
+def test_pre_on_states_without_successor():
+    # State 0 (Player 0) and state 1 (Player 1) have no successor: Player 1
+    # cannot move out of any set, Player 0 cannot move into one.
+    g = helpers.build_game(3, [0, 1, 0], [(2, 2)])
+    for target in (StateSet.empty(3), StateSet(3, [2]), StateSet.full(3)):
+        got = pre(g, target)
+        assert 1 in got and 0 not in got
+        assert got == helpers.pre_where(g, target)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -149,6 +173,42 @@ def test_validate_dangling_target():
 def test_validate_duplicate_edge():
     g = GameGraph(2, [0, 0], [(0, 1), (0, 1), (1, 0)], canonical=False)
     assert validate_graph(g) == ["state 0: duplicate edge to 1"]
+
+
+def test_validate_orders_issues_by_state_kind_and_position():
+    g = GameGraph(
+        3, [0, 0, 0], [(2, 7), (0, 1), (2, 0), (2, 7), (2, 0), (2, -1)],
+        canonical=False,
+    )
+    assert validate_graph(g) == [
+        "state 1: no successor",
+        "state 2: edge target 7 out of range",
+        "state 2: edge target 7 out of range",
+        "state 2: edge target -1 out of range",
+        "state 2: duplicate edge to 7",
+        "state 2: duplicate edge to 0",
+    ]
+
+
+def test_validate_and_canonical_form_match_loop_oracles():
+    kinds = set()
+    for seed in range(400):
+        n, owners, src, dst = helpers.random_raw_edges(seed)
+        raw = GameGraph(n, owners, (src, dst), canonical=False)
+        issues = validate_graph(raw)
+        assert issues == helpers.validate_graph_loop(raw), f"seed {seed}"
+        kinds.update(
+            kind
+            for kind in ("no successor", "out of range", "duplicate")
+            for msg in issues
+            if kind in msg
+        )
+        canon = GameGraph(n, owners, (src, dst))
+        indptr, indices = helpers.canonical_rows_loop(n, src, dst)
+        assert np.array_equal(canon._indptr, indptr), f"seed {seed}"
+        assert np.array_equal(canon._indices, indices), f"seed {seed}"
+        assert validate_graph(canon) == helpers.validate_graph_loop(canon)
+    assert kinds == {"no successor", "out of range", "duplicate"}
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +291,24 @@ def test_load_rejects_non_total_graph():
     with pytest.raises(ValidationError) as err:
         load_game("states 2\nowner 0 0\nowner 1 1\nedge 0 1\n")
     assert "state 1: no successor" in str(err.value)
+
+
+def test_load_reports_duplicates_and_missing_successors_in_order():
+    text = (
+        "states 3\nowner 0 0\nowner 1 1\nowner 2 0\n"
+        "edge 0 1\nedge 0 1\nedge 2 2\nedge 2 0\nedge 2 2\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        load_game(text)
+    assert str(err.value) == (
+        "state 0: duplicate edge to 1; state 1: no successor; "
+        "state 2: duplicate edge to 2"
+    )
+
+
+def test_load_rejects_state_count_above_bound():
+    with pytest.raises(BoundExceeded, match="exceeds the bound"):
+        load_game(f"states {MAX_STATES + 1}\n")
 
 
 def test_count_successors_in(g2_game):
