@@ -31,7 +31,6 @@ from .errors import (
 from .fixpoint import (
     FixpointEngine,
     FixpointStats,
-    FixpointTrace,
     ModeTrace,
     solve_persistence_reach,
 )
@@ -49,7 +48,6 @@ from .sets import StateSet
 from .solver import (
     MTSolveResult,
     SolveOptions,
-    reapply_stable,
     solve_mt,
     solve_mt_reference,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "EmbeddedGR1",
     "FixpointEngine",
     "FixpointStats",
-    "FixpointTrace",
     "GameGraph",
     "GameParseError",
     "GR1SolveResult",
@@ -132,7 +129,6 @@ __all__ = [
     "parse_strategy",
     "parse_winning",
     "pre",
-    "reapply_stable",
     "require_exclusive",
     "scaled_rooms",
     "serialize_game",

@@ -10,10 +10,8 @@ mismatch, 4 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +22,7 @@ from .benchgen import (
     gen_random_game,
     scaled_rooms,
 )
-from .errors import BoundExceeded, GameParseError, SpecParseError, ValidationError
+from .errors import BoundExceeded, GameParseError, SpecError, ValidationError
 from .game import GameGraph, load_game, serialize_game
 from .gr1 import solve_gr1_emb
 from .solver import MTSolveResult, SolveOptions, solve_mt
@@ -103,21 +101,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MTGAMES_THREADS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _Usage(f"MTGAMES_THREADS must be an integer, got {raw!r}")
-        if value < 1:
-            raise _Usage("MTGAMES_THREADS must be at least 1")
-        return value
-    # Serial by default: the solvers hold the interpreter lock for most of
-    # their time, so more threads only add contention.
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -135,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.strategy and args.algo != "mt":
         raise _Usage("strategy extraction requires --algo mt")
 
-    options = SolveOptions(warm=args.warm, record=args.algo == "mt")
+    options = SolveOptions(warm=args.warm, record=bool(args.strategy))
     result = _SOLVERS[args.algo](game, spec, options)
     record = RunRecord.from_result(game, spec, result)
     print(record.human())
@@ -181,35 +164,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     instances = _collect_instances(args.sources)
     options = SolveOptions(warm=args.warm, record=False)
 
-    def run(item: tuple[str, Path, Path]):
-        name, game_path, spec_path = item
+    records: list[RunRecord] = []
+    mismatches: list[tuple[str, RunRecord, RunRecord, int]] = []
+    for name, game_path, spec_path in instances:
         game = load_game(game_path.read_text(encoding="utf-8"))
         spec = parse_spec_file(spec_path.read_text(encoding="utf-8"))
         res_mt = solve_mt(game, spec, options)
         res_emb = solve_gr1_emb(game, spec, options)
         rec_mt = RunRecord.from_result(game, spec, res_mt)
         rec_emb = RunRecord.from_result(game, spec, res_emb)
-        witness = None
-        if res_mt.winning != res_emb.winning:
+        records.extend((rec_mt, rec_emb))
+        equal = res_mt.winning == res_emb.winning
+        print(
+            f"{name}: winning mt={rec_mt.winning_size} "
+            f"gr1emb={rec_emb.winning_size} pre mt={rec_mt.pre_count} "
+            f"gr1emb={rec_emb.pre_count} {'OK' if equal else 'MISMATCH'}"
+        )
+        if not equal:
             sym = (res_mt.winning | res_emb.winning) - (
                 res_mt.winning & res_emb.winning
             )
-            witness = int(sym.indices()[0])
-        return name, rec_mt, rec_emb, witness
-
-    records: list[RunRecord] = []
-    mismatches: list[tuple[str, RunRecord, RunRecord, int]] = []
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        for name, rec_mt, rec_emb, witness in pool.map(run, instances):
-            records.extend((rec_mt, rec_emb))
-            status = "OK" if witness is None else "MISMATCH"
-            print(
-                f"{name}: winning mt={rec_mt.winning_size} "
-                f"gr1emb={rec_emb.winning_size} pre mt={rec_mt.pre_count} "
-                f"gr1emb={rec_emb.pre_count} {status}"
-            )
-            if witness is not None:
-                mismatches.append((name, rec_mt, rec_emb, witness))
+            mismatches.append((name, rec_mt, rec_emb, int(sym.indices()[0])))
 
     if args.csv:
         _write_csv(args.csv, records)
@@ -440,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GameParseError, SpecParseError) as exc:
+    except (GameParseError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -59,24 +59,6 @@ class FixpointEngine:
         self.stats.pre_count += 1
         return pre(self.game, s)
 
-    def lfp(
-        self,
-        op: Callable[[StateSet], StateSet],
-        seed: StateSet | None = None,
-    ) -> StateSet:
-        """Least fixed point of a monotone operator.
-
-        ``seed`` must lie below the least fixed point (the empty set
-        always qualifies); iteration is inflationary so any such seed
-        reaches the same limit.
-        """
-        x = seed if seed is not None else self._empty
-        while True:
-            nxt = x | op(x)
-            if nxt == x:
-                return x
-            x = nxt
-
     def gfp(
         self,
         op: Callable[[StateSet], StateSet],
@@ -185,15 +167,14 @@ class ModeTrace:
     """Rank-compressed iterate chains for one mode's final computation.
 
     Membership of state v in the l-th outer iterate Y_l is equivalent to
-    1 <= y_rank[v] <= l, and similarly for the inner chains, so the full
-    set chains are reconstructible without storing every iterate.
+    1 <= y_rank[v] <= l (Y_0 is empty), and membership in the inner fixed
+    point of target j computed against Y_l to 0 <= x_rank[j][v] <= l, so
+    the full set chains are reconstructible without storing every iterate.
     """
 
     def __init__(self, n: int, target_count: int):
-        self._n = n
         self.y_rank = np.full(n, -1, dtype=np.int64)
         self.x_rank = [np.full(n, -1, dtype=np.int64) for _ in range(target_count)]
-        self.depth = 0
 
     @classmethod
     def from_iterates(
@@ -204,7 +185,6 @@ class ModeTrace:
     ) -> "ModeTrace":
         n = y_iterates[0].universe
         tr = cls(n, target_count)
-        tr.depth = len(y_iterates) - 1
         for rank in range(1, len(y_iterates)):
             fresh = y_iterates[rank].bits & (tr.y_rank < 0)
             tr.y_rank[fresh] = rank
@@ -218,28 +198,6 @@ class ModeTrace:
     def target_count(self) -> int:
         return len(self.x_rank)
 
-    def y_iterate(self, rank: int) -> StateSet:
-        """The rank-th outer iterate (rank 0 is the empty set)."""
-        return StateSet.from_mask((self.y_rank >= 1) & (self.y_rank <= rank))
-
-    def y_limit(self) -> StateSet:
-        return StateSet.from_mask(self.y_rank >= 1)
-
-    def x_fixed(self, j: int, rank: int) -> StateSet:
-        """Inner fixed point for target j computed against iterate rank."""
-        xr = self.x_rank[j]
-        return StateSet.from_mask((xr >= 0) & (xr <= rank))
-
-
-@dataclass
-class FixpointTrace:
-    """Per-mode iterate chains recorded against the final winning set."""
-
-    modes: list[ModeTrace]
-
-    def mode(self, i: int) -> ModeTrace:
-        return self.modes[i]
-
 
 # ---------------------------------------------------------------------------
 # Shared nested solver
@@ -249,7 +207,6 @@ class FixpointTrace:
 class NestedSolveOutcome:
     winning: StateSet
     stats: FixpointStats
-    engine: FixpointEngine
     traces: list[ModeTrace] | None
 
 
@@ -312,4 +269,4 @@ def solve_stable_conjunction(
             break
         z = new_z
     stats.wall_time_s = time.perf_counter() - t0
-    return NestedSolveOutcome(StateSet._wrap(z), stats, engine, traces)
+    return NestedSolveOutcome(StateSet._wrap(z), stats, traces)

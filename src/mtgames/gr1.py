@@ -4,14 +4,14 @@ A GR(1) objective is an implication between two conjunctions of
 recurrence conditions: if every assumption set is visited infinitely
 often, every guarantee set must be visited infinitely often too.
 
-A mode-target objective embeds into GR(1) by padding every mode's
-target list to the common maximum length with empty sets, taking as
-j-th assumption "the play is currently not inside any mode's j-th
-(padded) target", and as i-th guarantee "the play is currently outside
-mode i". The embedded game has max_targets assumptions and mode_count
-guarantees, which is precisely why its solver can do more predecessor
-work than the direct one when target counts are uneven; the
-benchmarks quantify that gap.
+A mode-target objective embeds into GR(1) by taking as j-th assumption
+"the play is currently not inside any mode's j-th target" (a mode with
+fewer than j+1 targets contributes nothing to it), and as i-th
+guarantee "the play is currently outside mode i". The embedded game has
+max_targets assumptions and mode_count guarantees, and every guarantee
+iterates over all assumptions, which is precisely why its solver can do
+more predecessor work than the direct one when target counts are
+uneven; the benchmarks quantify that gap.
 """
 
 from __future__ import annotations
@@ -23,37 +23,22 @@ from .fixpoint import FixpointStats, solve_stable_conjunction
 from .game import GameGraph, validate_graph
 from .sets import StateSet
 from .solver import MTSolveResult, SolveOptions
-from .specs import GR1Spec, MTSpec, bind_spec, require_exclusive
+from .specs import BoundSpec, GR1Spec, MTSpec, bind_spec, require_exclusive
 
 
 @dataclass
 class EmbeddedGR1:
     """GR(1) view of a mode-target objective over a concrete graph.
 
-    padded_targets[i][j] is mode i's j-th target set, or the empty set
-    when mode i has fewer than j+1 targets. assumptions[j] is the
-    complement of the union over modes of (mode i and its j-th padded
-    target). guarantees[i] is the complement of mode i.
-
-    flat_assumption_count / flat_guarantee_count describe the
-    unpadded one-assumption-per-target variant of the reduction; it is
-    recorded for reporting only and never solved, since solving it
-    would repeat the padded game's work at strictly worse cost.
+    assumptions[j] is the complement of the union over the modes i with
+    at least j+1 targets of (mode i and its j-th target). guarantees[i]
+    is the complement of mode i. bound is the objective bound to the
+    graph.
     """
 
-    padded_targets: list[list[StateSet]]
     assumptions: list[StateSet]
     guarantees: list[StateSet]
-    flat_assumption_count: int
-    flat_guarantee_count: int
-
-    @property
-    def assumption_count(self) -> int:
-        return len(self.assumptions)
-
-    @property
-    def guarantee_count(self) -> int:
-        return len(self.guarantees)
+    bound: BoundSpec
 
     def spec(self) -> GR1Spec:
         return GR1Spec(tuple(self.assumptions), tuple(self.guarantees))
@@ -67,64 +52,15 @@ def embed(game: GameGraph, spec: MTSpec) -> EmbeddedGR1:
     """
     require_exclusive(game, spec)
     bound = bind_spec(game, spec)
-    m = spec.mode_count
-    max_t = spec.max_targets
-    none = StateSet.empty(game.n)
-
-    padded: list[list[StateSet]] = []
-    for i, mode in enumerate(spec.modes):
-        row = [
-            bound.target_sets[i][j] if j < len(mode.targets) else none
-            for j in range(max_t)
-        ]
-        padded.append(row)
-
     assumptions: list[StateSet] = []
-    for j in range(max_t):
-        hit = none
-        for i in range(m):
-            hit = hit | (bound.mode_sets[i] & padded[i][j])
+    for j in range(spec.max_targets):
+        hit = StateSet.empty(game.n)
+        for mode_set, targets in zip(bound.mode_sets, bound.target_sets):
+            if j < len(targets):
+                hit = hit | (mode_set & targets[j])
         assumptions.append(~hit)
-
-    guarantees = [~bound.mode_sets[i] for i in range(m)]
-    return EmbeddedGR1(
-        padded_targets=padded,
-        assumptions=assumptions,
-        guarantees=guarantees,
-        flat_assumption_count=spec.sum_targets,
-        flat_guarantee_count=m,
-    )
-
-
-def solve_gr1_emb(
-    game: GameGraph, spec: MTSpec, options: SolveOptions | None = None
-) -> MTSolveResult:
-    """Winning region of the mode-target objective via its GR(1) form.
-
-    Returns the same winning set as solve_mt on every valid input; the
-    predecessor counts differ because every mode iterates over the
-    padded target list. No iterate trace is recorded -- strategy
-    extraction is defined on the direct solver's traces.
-    """
-    opts = options or SolveOptions()
-    issues = validate_graph(game)
-    if issues:
-        raise ValidationError("; ".join(issues))
-    emb = embed(game, spec)
-    bound = bind_spec(game, spec)
-
-    persist_row = [~a for a in emb.assumptions]
-    persist_matrix = [persist_row for _ in range(spec.mode_count)]
-    outcome = solve_stable_conjunction(
-        game,
-        persist_matrix,
-        emb.guarantees,
-        warm=opts.warm,
-        record=False,
-    )
-    return MTSolveResult(
-        outcome.winning, outcome.stats, None, bound, algo="gr1emb"
-    )
+    guarantees = [~ms for ms in bound.mode_sets]
+    return EmbeddedGR1(assumptions, guarantees, bound)
 
 
 @dataclass
@@ -157,3 +93,19 @@ def solve_gr1(
         game, persist_matrix, list(spec.guarantees), warm=warm
     )
     return GR1SolveResult(outcome.winning, outcome.stats)
+
+
+def solve_gr1_emb(
+    game: GameGraph, spec: MTSpec, options: SolveOptions | None = None
+) -> MTSolveResult:
+    """Winning region of the mode-target objective via its GR(1) form.
+
+    Returns the same winning set as solve_mt on every valid input; the
+    predecessor counts differ because every mode iterates over all
+    assumptions. No iterate trace is recorded -- strategy extraction is
+    defined on the direct solver's traces.
+    """
+    opts = options or SolveOptions()
+    emb = embed(game, spec)
+    res = solve_gr1(game, emb.spec(), warm=opts.warm)
+    return MTSolveResult(res.winning, res.stats, None, emb.bound, algo="gr1emb")

@@ -18,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fixpoint import (
-    FixpointEngine,
-    FixpointStats,
-    FixpointTrace,
-    solve_persistence_reach,
-    solve_stable_conjunction,
-)
+from .fixpoint import FixpointStats, ModeTrace, solve_stable_conjunction
 from .game import PLAYER0, GameGraph, validate_graph
 from .sets import StateSet
 from .specs import BoundSpec, MTSpec, bind_spec, require_exclusive
@@ -46,7 +40,7 @@ class SolveOptions:
 class MTSolveResult:
     winning: StateSet
     stats: FixpointStats
-    trace: FixpointTrace | None
+    trace: list[ModeTrace] | None
     bound: BoundSpec
     algo: str = "mt"
 
@@ -76,25 +70,7 @@ def solve_mt(
         warm=opts.warm,
         record=opts.record,
     )
-    trace = FixpointTrace(outcome.traces) if opts.record else None
-    return MTSolveResult(outcome.winning, outcome.stats, trace, bound)
-
-
-def reapply_stable(game: GameGraph, spec: MTSpec, candidate: StateSet) -> bool:
-    """True iff one more outer round maps ``candidate`` to itself.
-
-    The winning region is the largest such stable point, so this is a
-    cheap post-hoc sanity check on a solver output.
-    """
-    bound = bind_spec(game, spec)
-    engine = FixpointEngine(game)
-    pre_c = engine.pre(candidate)
-    result = candidate
-    for i, persist in enumerate(bound.persistence_sets):
-        exit_base = ~bound.mode_sets[i] & pre_c
-        res = solve_persistence_reach(engine, persist, exit_base)
-        result = result & res.value
-    return result == candidate
+    return MTSolveResult(outcome.winning, outcome.stats, outcome.traces, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def extract_strategy(game: GameGraph, spec: MTSpec, result: MTSolveResult) -> St
         if game.owner(v) != PLAYER0:
             continue
         k = int(mode_idx[v])
-        tr = result.trace.modes[k]
+        tr = result.trace[k]
         r = int(tr.y_rank[v])
         if r < 1:
             raise RuntimeError(

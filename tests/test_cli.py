@@ -7,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import helpers
+import mtgames
 from mtgames import cli
+from mtgames.fixpoint import ModeTrace
 from mtgames.game import load_game, serialize_game
 from mtgames.solver import solve_mt
 from mtgames.specs import format_spec_file, parse_spec_file
@@ -156,6 +159,42 @@ def test_solve_unbound_proposition_is_validation_error(g1_files, capsys):
     game_path, _ = g1_files
     assert cli.main(["solve", str(game_path), "--ltl", "(FG M9 -> FG T11)"]) == 1
     assert "unbound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "(FG M1 -> FG T11 | FG T11)",  # duplicate target
+        "(FG M1 -> FG T11) & (FG M1 -> FG T11)",  # duplicate mode
+    ],
+)
+def test_solve_structurally_invalid_formula_is_spec_error(g1_files, capsys, formula):
+    game_path, _ = g1_files
+    assert cli.main(["solve", str(game_path), "--ltl", formula]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate ") and err.count("\n") == 1
+
+
+def test_solve_records_traces_only_for_strategy(g1_files, tmp_path, capsys, monkeypatch):
+    calls = []
+    record = ModeTrace.from_iterates
+
+    def spy(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(ModeTrace, "from_iterates", staticmethod(spy))
+    game_path, spec_path = g1_files
+    strat = tmp_path / "s.txt"
+    assert cli.main(["solve", str(game_path), str(spec_path), "--strategy", str(strat)]) == 0
+    with_strategy = capsys.readouterr().out
+    assert calls
+    calls.clear()
+    assert cli.main(["solve", str(game_path), str(spec_path)]) == 0
+    without_strategy = capsys.readouterr().out
+    assert calls == []
+    pre_count = re.compile(r"pre_count=\d+")
+    assert pre_count.findall(with_strategy) == pre_count.findall(without_strategy)
 
 
 def test_bad_subcommand_or_flags():
@@ -353,22 +392,20 @@ def test_compare_detects_mismatch(instance_dir, tmp_path, capsys, monkeypatch):
     assert csv_path.exists()  # rows still written for post-mortem
 
 
-def test_compare_thread_env(instance_dir, capsys, monkeypatch):
-    monkeypatch.setenv("MTGAMES_THREADS", "1")
-    assert cli.main(["compare", str(instance_dir)]) == 0
-    monkeypatch.setenv("MTGAMES_THREADS", "nope")
-    assert cli.main(["compare", str(instance_dir)]) == 2
-    monkeypatch.setenv("MTGAMES_THREADS", "0")
-    assert cli.main(["compare", str(instance_dir)]) == 2
-
-
 def test_compare_runs_serially_by_default(instance_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MTGAMES_THREADS", raising=False)
-    assert cli._thread_count() == 1
+    threads = []
+
+    def solve_on_caller(game, spec, options=None):
+        threads.append(threading.current_thread())
+        return solve_mt(game, spec, options)
+
+    monkeypatch.setattr(cli, "solve_mt", solve_on_caller)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["compare", str(instance_dir), "--csv", str(a)]) == 0
     monkeypatch.setenv("MTGAMES_THREADS", "4")
     assert cli.main(["compare", str(instance_dir), "--csv", str(b)]) == 0
+    assert threads == [threading.main_thread()] * 6
     assert strip_wall_ms(a.read_text(encoding="utf-8")) == strip_wall_ms(
         b.read_text(encoding="utf-8")
     )
@@ -553,3 +590,8 @@ def test_module_entry_point(g1_files):
     )
     assert proc.returncode == 0
     assert "winning_size=2" in proc.stdout
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mtgames.__all__ if not hasattr(mtgames, name)]
+    assert missing == []

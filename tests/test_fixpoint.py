@@ -1,8 +1,9 @@
-"""Fixed-point engine: instrumentation, seed-robust lfp/gfp iteration,
+"""Fixed-point engine: instrumentation, seed-robust gfp iteration,
 the persistence-or-reach subroutine, and iterate-trace recording."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import helpers
@@ -14,10 +15,6 @@ from mtgames.fixpoint import (
 )
 from mtgames.sets import StateSet
 from mtgames.specs import bind_spec
-
-
-def attractor_op(engine, goal):
-    return lambda x: engine.pre(x) | goal
 
 
 def stay_op(engine, region):
@@ -43,13 +40,7 @@ def test_engine_constants(g1_game):
 
 
 # ---------------------------------------------------------------------------
-# lfp / gfp
-
-
-def test_lfp_attractor_frozen_example(g2_game):
-    engine = FixpointEngine(g2_game)
-    goal = StateSet(2, [1])
-    assert set(engine.lfp(attractor_op(engine, goal))) == {0, 1}
+# gfp
 
 
 def test_gfp_stay_frozen_examples(g1_game, g2_game):
@@ -57,29 +48,6 @@ def test_gfp_stay_frozen_examples(g1_game, g2_game):
     assert set(e1.gfp(stay_op(e1, StateSet(2, [1])))) == {1}
     e2 = FixpointEngine(g2_game)
     assert set(e2.gfp(stay_op(e2, StateSet(2, [1])))) == set()
-
-
-def test_lfp_matches_naive_attractor():
-    for seed in range(25):
-        g = helpers.random_graph(seed)
-        goal = helpers.random_subset(seed + 500, g.n)
-        engine = FixpointEngine(g)
-        got = set(engine.lfp(attractor_op(engine, goal)))
-        assert got == helpers.naive_attractor(g, set(goal)), f"seed {seed}"
-
-
-def test_lfp_seed_independence():
-    for seed in range(15):
-        g = helpers.random_graph(seed)
-        goal = helpers.random_subset(seed + 500, g.n)
-        engine = FixpointEngine(g)
-        cold = engine.lfp(attractor_op(engine, goal))
-        # Any subset of the least fixed point is a legal seed.
-        partial = StateSet.from_mask(
-            cold.bits & helpers.random_subset(seed + 900, g.n).bits
-        )
-        warm = engine.lfp(attractor_op(engine, goal), seed=partial)
-        assert warm == cold
 
 
 def test_gfp_seed_independence():
@@ -187,22 +155,23 @@ def test_mode_trace_ranks_reconstruct_iterates():
         reach = helpers.random_subset(seed + 22, g.n)
         res = solve_persistence_reach(engine, [p], reach_set=reach, record=True)
         tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
-        assert tr.depth == len(res.y_iterates) - 1
         assert tr.target_count == 1
         for rank, y in enumerate(res.y_iterates):
-            assert tr.y_iterate(rank) == y
-        assert tr.y_limit() == res.value
+            assert np.array_equal((tr.y_rank >= 1) & (tr.y_rank <= rank), y.bits)
+        assert np.array_equal(tr.y_rank >= 1, res.value.bits)
         for rank, row in enumerate(res.x_iterates):
-            assert tr.x_fixed(0, rank) == row[0]
+            xr = tr.x_rank[0]
+            assert np.array_equal((xr >= 0) & (xr <= rank), row[0].bits)
 
 
 def test_mode_trace_handles_immediate_convergence():
     g = helpers.g2()
     engine = FixpointEngine(g)
     res = solve_persistence_reach(engine, [engine.empty], record=True)
+    assert len(res.y_iterates) == 1
     tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
-    assert tr.depth == 0
-    assert len(tr.y_limit()) == 0
+    assert not (tr.y_rank >= 1).any()
+    assert not (tr.x_rank[0] >= 0).any()
     assert tr.target_count == 1
 
 
@@ -251,7 +220,7 @@ def test_final_round_iterates_close_on_winning_set():
         persist, exits = _bound_parts(game, spec)
         out = solve_stable_conjunction(game, persist, exits, record=True)
         for tr in out.traces:
-            assert tr.y_limit() == out.winning
+            assert np.array_equal(tr.y_rank >= 1, out.winning.bits)
 
 
 def test_driver_warm_matches_cold():

@@ -11,7 +11,7 @@ from mtgames.errors import ModeExclusivityError, ValidationError
 from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
 from mtgames.sets import StateSet
 from mtgames.solver import SolveOptions, solve_mt
-from mtgames.specs import GR1Spec, ModeSpec, MTSpec, parse_mt_formula
+from mtgames.specs import GR1Spec, ModeSpec, MTSpec, bind_spec, parse_mt_formula
 
 
 def two_mode_instance():
@@ -39,16 +39,14 @@ def two_mode_instance():
 def test_embed_shapes_and_padding():
     g, spec = two_mode_instance()
     emb = embed(g, spec)
-    assert emb.assumption_count == 2  # max target count
-    assert emb.guarantee_count == 2  # mode count
-    assert emb.flat_assumption_count == 3  # total target count
-    assert emb.flat_guarantee_count == 2
-    assert len(emb.padded_targets) == 2
-    assert [len(row) for row in emb.padded_targets] == [2, 2]
-    assert set(emb.padded_targets[0][0]) == {0}
-    assert set(emb.padded_targets[0][1]) == {4}
-    assert set(emb.padded_targets[1][0]) == {2}
-    assert len(emb.padded_targets[1][1]) == 0  # padding for the short mode
+    assert len(emb.assumptions) == 2  # max target count
+    assert len(emb.guarantees) == 2  # mode count
+    assert emb.bound.spec == spec
+    # Target lists are bound as declared; the short mode is not padded.
+    assert [len(row) for row in emb.bound.target_sets] == [2, 1]
+    assert set(emb.bound.target_sets[0][0]) == {0}
+    assert set(emb.bound.target_sets[0][1]) == {4}
+    assert set(emb.bound.target_sets[1][0]) == {2}
 
 
 def test_embed_frozen_sets():
@@ -66,17 +64,18 @@ def test_embed_assumption_complement_identity():
     for seed in range(8):
         game, spec = gen_random_game(20, 3, [2, 1, 3], 2.0, seed)
         emb = embed(game, spec)
-        from mtgames.specs import bind_spec
-
         bound = bind_spec(game, spec)
+        assert len(emb.assumptions) == spec.max_targets
         for j, a in enumerate(emb.assumptions):
             hit = StateSet.empty(game.n)
-            for i in range(spec.mode_count):
-                hit = hit | (bound.mode_sets[i] & emb.padded_targets[i][j])
+            for mode_set, targets in zip(bound.mode_sets, bound.target_sets):
+                if j < len(targets):
+                    overlap = mode_set & targets[j]
+                    assert overlap.isdisjoint(a)
+                    hit = hit | overlap
             assert ~a == hit
-            for i in range(spec.mode_count):
-                overlap = bound.mode_sets[i] & emb.padded_targets[i][j]
-                assert overlap.isdisjoint(a)
+        for mode_set, g in zip(bound.mode_sets, emb.guarantees):
+            assert ~g == mode_set
 
 
 def test_embed_requires_exclusive_modes():

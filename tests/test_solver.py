@@ -15,11 +15,9 @@ from mtgames.errors import (
     ValidationError,
 )
 from mtgames.game import GameGraph, pre
-from mtgames.sets import StateSet
 from mtgames.solver import (
     MTSolveResult,
     SolveOptions,
-    reapply_stable,
     solve_mt,
     solve_mt_reference,
 )
@@ -128,18 +126,6 @@ def test_winning_set_is_pre_fixed_point():
     for idx, (game, spec) in enumerate(small_corpus()[:20]):
         w = solve_mt(game, spec).winning
         assert pre(game, w) == w, f"instance {idx}"
-
-
-def test_reapply_confirms_winning_set():
-    for idx, (game, spec) in enumerate(small_corpus()[:20]):
-        w = solve_mt(game, spec).winning
-        assert reapply_stable(game, spec, w), f"instance {idx}"
-
-
-def test_reapply_rejects_inflated_candidate(g2_game, one_mode_spec):
-    assert not reapply_stable(g2_game, one_mode_spec, StateSet(2, [0]))
-    assert not reapply_stable(g2_game, one_mode_spec, StateSet.full(2))
-    assert reapply_stable(g2_game, one_mode_spec, StateSet.empty(2))
 
 
 def test_mode_order_does_not_change_winning_set():

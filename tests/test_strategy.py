@@ -128,7 +128,7 @@ def test_extract_choices_descend_iterate_ranks():
         strat = extract_strategy(game, spec, result)
         mode_idx = result.bound.mode_index_of()
         for v, w in strat.choices.items():
-            tr = result.trace.modes[int(mode_idx[v])]
+            tr = result.trace[int(mode_idx[v])]
             rv, rw = int(tr.y_rank[v]), int(tr.y_rank[w])
             assert rv >= 1
             if rw < rv:
