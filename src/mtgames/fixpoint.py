@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameGraph, pre
+from .game import GameGraph, RowSlice, pre
 from .sets import StateSet
 
 
@@ -37,13 +37,17 @@ class FixpointStats:
 
 
 class FixpointEngine:
-    """Counts predecessor evaluations over one game graph."""
+    """Counts predecessor evaluations over one game graph, and keeps the
+    row slices of the persistence sets it is given."""
 
     def __init__(self, game: GameGraph):
         self.game = game
         self.stats = FixpointStats()
         self._empty = StateSet.empty(game.n)
         self._full = StateSet.full(game.n)
+        # Row slices by the identity of their set, which is kept alive here
+        # so that its id cannot be reused.
+        self._slices: dict[int, tuple[StateSet, RowSlice]] = {}
 
     @property
     def empty(self) -> StateSet:
@@ -53,11 +57,21 @@ class FixpointEngine:
     def full(self) -> StateSet:
         return self._full
 
-    def pre(self, s: StateSet | np.ndarray) -> StateSet | np.ndarray:
+    def pre(
+        self, s: StateSet | np.ndarray, within: RowSlice | None = None
+    ) -> StateSet | np.ndarray:
         """Counted Pre of a StateSet, or of a boolean mask as the loops
-        below pass it; the result has the same type."""
+        below pass it; the result has the same type. With ``within``, a
+        slice from :meth:`row_slice`, it is Pre inside that set only."""
         self.stats.pre_count += 1
-        return pre(self.game, s)
+        return pre(self.game, s, within=within)
+
+    def row_slice(self, p: StateSet) -> RowSlice:
+        """The graph's row slice of ``p``, built once per set object."""
+        hit = self._slices.get(id(p))
+        if hit is None:
+            hit = self._slices[id(p)] = (p, self.game.row_slice(p.bits))
+        return hit[1]
 
     def gfp(
         self,
@@ -119,12 +133,14 @@ def solve_persistence_reach(
     """
     # The loops run on the raw boolean masks; StateSets are made only for
     # the result. An inner iterate never grows (it is intersected with its
-    # predecessor), so an unchanged size means an unchanged set.
-    persist = [p.bits for p in persist_sets]
+    # predecessor), so an unchanged size means an unchanged set. Pre(X) & P
+    # is evaluated on P's rows only.
     reach = reach_set.bits if reach_set is not None else engine.empty.bits
     seeds = [s.bits for s in x_seeds] if x_seeds is not None else None
-    if any(b.shape != (engine.game.n,) for b in (*persist, reach, *(seeds or ()))):
+    masks = (*(p.bits for p in persist_sets), reach, *(seeds or ()))
+    if any(b.shape != (engine.game.n,) for b in masks):
         raise ValueError("set universe does not match game")
+    slices = [engine.row_slice(p) for p in persist_sets]
     full = engine.full.bits
     y = engine.empty.bits
     y_iterates: list[StateSet] | None = [engine.empty] if record else None
@@ -135,12 +151,11 @@ def solve_persistence_reach(
         base |= reach
         new_y = base.copy()
         x_row: list[np.ndarray] = []
-        for j, p in enumerate(persist):
+        for j, rows in enumerate(slices):
             x = seeds[j] if seeds is not None else full
             size = np.count_nonzero(x)
             while True:
-                nxt = engine.pre(x)
-                nxt &= p
+                nxt = engine.pre(x, within=rows)
                 nxt |= base
                 nxt &= x
                 nxt_size = np.count_nonzero(nxt)

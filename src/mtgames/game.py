@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,10 +201,21 @@ class GameGraph:
         """Per-state count of successors inside the given boolean mask."""
         return self._matrix() @ mask.astype(np.int32)
 
-    def pre_mask(self, mask: np.ndarray) -> np.ndarray:
+    def pre_mask(self, mask: np.ndarray, within: RowSlice | None = None) -> np.ndarray:
         """Controllable predecessor of a length-n boolean mask, as a fresh
-        mask; see :func:`pre`."""
-        return self.count_successors_in(mask) > self._pre_floor
+        mask; see :func:`pre`. With ``within`` only the slice's rows are
+        evaluated, and every other state is False."""
+        if within is None:
+            return self.count_successors_in(mask) > self._pre_floor
+        out = np.zeros(self._n, dtype=bool)
+        out[within.rows] = within.matrix @ mask.astype(np.int32) > within.floor
+        return out
+
+    def row_slice(self, mask: np.ndarray) -> RowSlice:
+        """The successor rows and Pre floors of the states in a length-n
+        boolean mask, for a Pre that is only wanted inside that mask."""
+        rows = np.flatnonzero(mask)
+        return RowSlice(rows, self._matrix()[rows], self._pre_floor[rows])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameGraph):
@@ -242,6 +254,16 @@ class GameGraph:
         )
 
 
+@dataclass(frozen=True)
+class RowSlice:
+    """Rows of a graph's successor matrix and Pre floor, for the states
+    ``rows``; built by :meth:`GameGraph.row_slice`."""
+
+    rows: np.ndarray
+    matrix: sp.csr_matrix
+    floor: np.ndarray
+
+
 def _edge_arrays(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
         return edges[0].astype(np.int64), edges[1].astype(np.int64)
@@ -263,19 +285,24 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
     return order, again
 
 
-def pre(game: GameGraph, target: StateSet | np.ndarray) -> StateSet | np.ndarray:
+def pre(
+    game: GameGraph, target: StateSet | np.ndarray, within: RowSlice | None = None
+) -> StateSet | np.ndarray:
     """Controllable predecessor of ``target``.
 
     A Player 0 state belongs to the result iff some successor is in
     ``target``; a Player 1 state iff all successors are. ``target`` is a
     StateSet, or a boolean mask of length n as the fixed-point loops pass
     it; the result has the same type.
+
+    With ``within``, a slice from ``game.row_slice(P)``, the result is
+    ``Pre(target) & P``, computed from P's successor rows alone.
     """
     if not isinstance(target, StateSet):
-        return game.pre_mask(target)
+        return game.pre_mask(target, within)
     if target.universe != game.n:
         raise ValueError("target universe does not match game")
-    return StateSet._wrap(game.pre_mask(target.bits))
+    return StateSet._wrap(game.pre_mask(target.bits, within))
 
 
 def validate_graph(game: GameGraph) -> list[str]:

@@ -13,6 +13,7 @@ from mtgames.fixpoint import (
     solve_persistence_reach,
     solve_stable_conjunction,
 )
+from mtgames.game import RowSlice
 from mtgames.sets import StateSet
 from mtgames.specs import bind_spec
 
@@ -247,17 +248,23 @@ def test_driver_pre_count_deterministic(g1_game, one_mode_spec):
 
 
 def _counting_pre(monkeypatch):
+    """Wrap mtgames.fixpoint.pre; each call is logged as (args, kwargs)."""
     import mtgames.fixpoint
 
     calls = []
     original = mtgames.fixpoint.pre
 
-    def counted(game, target):
-        calls.append(None)
-        return original(game, target)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(mtgames.fixpoint, "pre", counted)
     return calls
+
+
+def _carries_slice(call):
+    args, kwargs = call
+    return any(isinstance(a, RowSlice) for a in (*args, *kwargs.values()))
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -291,3 +298,99 @@ def test_pre_calls_equal_pre_count_generic_gr1(monkeypatch, warm):
         result = solve_gr1(game, gr1, warm=warm)
         assert result.stats.pre_count > 0
         assert len(calls) == result.stats.pre_count, seed
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
+def test_inner_pre_calls_carry_a_row_slice(monkeypatch, algo):
+    from mtgames.benchgen import gen_random_game
+    from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
+    from mtgames.solver import solve_mt
+
+    calls = _counting_pre(monkeypatch)
+    game, spec = gen_random_game(40, 3, [3, 1, 2], 2.0, 0)
+    if algo == "mt":
+        result = solve_mt(game, spec)
+    elif algo == "gr1emb":
+        result = solve_gr1_emb(game, spec)
+    else:
+        result = solve_gr1(game, embed(game, spec).spec())
+    assert len(calls) == result.stats.pre_count
+    sliced = sum(_carries_slice(c) for c in calls)
+    # Pre(Z) and every Pre(Y) stay on the full graph.
+    assert 0 < sliced < len(calls)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_row_slices_are_built_once_per_persistence_set(monkeypatch, warm):
+    from mtgames.benchgen import gen_random_game
+    from mtgames.game import GameGraph
+    from mtgames.gr1 import solve_gr1_emb
+    from mtgames.solver import SolveOptions, solve_mt
+
+    built = []
+    original = GameGraph.row_slice
+
+    def counted(self, mask):
+        built.append(None)
+        return original(self, mask)
+
+    monkeypatch.setattr(GameGraph, "row_slice", counted)
+    rounds = set()
+    for seed in range(4):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        for solve, bound in (
+            (solve_mt, spec.sum_targets),
+            (solve_gr1_emb, spec.max_targets),
+        ):
+            built.clear()
+            result = solve(game, spec, SolveOptions(warm=warm))
+            rounds.add(result.stats.outer_iterations)
+            assert 0 < len(built) <= bound, (solve.__name__, seed)
+    # The bound does not grow with the number of outer rounds.
+    assert max(rounds) > 2
+
+
+# ---------------------------------------------------------------------------
+# Pinned work: (pre_count, outer_iterations) of solve_mt cold, solve_mt warm,
+# solve_gr1_emb cold and solve_gr1_emb warm. A speed-up that keeps the
+# algorithm must leave every figure as it is.
+
+
+def _pinned_instance(name):
+    from mtgames.benchgen import (
+        RobotWorld,
+        gen_cleaning_robot,
+        gen_multi_target_series,
+        gen_random_game,
+        scaled_rooms,
+    )
+
+    if name == "random-0":
+        return gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0)
+    if name == "random-1":
+        return gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 1)
+    if name == "robot":
+        return gen_cleaning_robot(RobotWorld(8, 8, scaled_rooms(8, 8, 2)))
+    return gen_multi_target_series(300, 5, 2.0, 0, [4])[0]
+
+
+PINNED_WORK = {
+    "random-0": ((647, 6), (563, 6), (1150, 6), (871, 6)),
+    "random-1": ((706, 7), (557, 7), (1211, 7), (910, 7)),
+    "robot": ((209, 1), (209, 1), (289, 1), (289, 1)),
+    "series": ((679, 6), (607, 6), (1719, 6), (1352, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORK))
+def test_work_counts_are_pinned(name):
+    from mtgames.gr1 import solve_gr1_emb
+    from mtgames.solver import SolveOptions, solve_mt
+
+    game, spec = _pinned_instance(name)
+    got = []
+    for solve in (solve_mt, solve_gr1_emb):
+        for warm in (False, True):
+            stats = solve(game, spec, SolveOptions(warm=warm)).stats
+            got.append((stats.pre_count, stats.outer_iterations))
+    assert tuple(got) == PINNED_WORK[name]

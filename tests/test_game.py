@@ -132,12 +132,24 @@ def test_pre_monotone(seed, extra):
     assert pre(g, small) <= pre(g, big)
 
 
+def restricted_pre(game, target, within):
+    """Pre of ``target`` evaluated on the rows of ``within`` only."""
+    return pre(game, target, within=game.row_slice(within.bits))
+
+
 def test_pre_matches_where_kernel_on_random_graphs():
     for seed in range(40):
         g = helpers.random_graph(seed)
         s = helpers.random_subset(seed + 2000, g.n)
-        assert pre(g, s) == helpers.pre_where(g, s), f"seed {seed}"
+        expected = helpers.pre_where(g, s)
+        assert pre(g, s) == expected, f"seed {seed}"
         assert np.array_equal(pre(g, s.bits), pre(g, s).bits)
+        p = helpers.random_subset(seed + 4000, g.n)
+        for within in (p, StateSet.empty(g.n), StateSet.full(g.n)):
+            got = restricted_pre(g, s, within)
+            assert got == expected & within, f"seed {seed}"
+            rows = g.row_slice(within.bits)
+            assert np.array_equal(pre(g, s.bits, within=rows), got.bits)
 
 
 def test_pre_on_states_without_successor():
@@ -148,6 +160,40 @@ def test_pre_on_states_without_successor():
         got = pre(g, target)
         assert 1 in got and 0 not in got
         assert got == helpers.pre_where(g, target)
+        for p in (StateSet(3, [1]), StateSet(3, [0, 2])):
+            assert restricted_pre(g, target, p) == got & p
+
+
+def test_restricted_pre_with_self_loops_and_player1_states():
+    # Every state has a self-loop; states 1 and 3 belong to Player 1.
+    edges = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)]
+    g = helpers.build_game(4, [0, 1, 0, 1], edges)
+    for bits in range(16):
+        x = StateSet(4, [v for v in range(4) if bits >> v & 1])
+        for p_bits in range(16):
+            p = StateSet(4, [v for v in range(4) if p_bits >> v & 1])
+            assert restricted_pre(g, x, p) == helpers.pre_where(g, x) & p
+
+
+def test_restricted_pre_when_every_successor_leaves_the_set():
+    # Edges run between even and odd states only, so P = the even states has
+    # no successor inside P: Pre(X) & P depends on X outside P alone.
+    n = 8
+    edges = [(v, w) for v in range(n) for w in range(n) if (v - w) % 2 and w <= v + 3]
+    g = helpers.build_game(n, [v // 2 % 2 for v in range(n)], edges)
+    p = StateSet(n, range(0, n, 2))
+    for x in (p, ~p, StateSet.full(n), StateSet(n, [1, 2, 3])):
+        got = restricted_pre(g, x, p)
+        assert got == helpers.pre_where(g, x) & p
+    assert len(restricted_pre(g, p, p)) == 0
+    assert restricted_pre(g, ~p, p) == p
+
+
+def test_restricted_pre_on_empty_graph():
+    g = helpers.build_game(0, [], [])
+    empty = StateSet.empty(0)
+    assert restricted_pre(g, empty, empty) == empty
+    assert pre(g, empty.bits, within=g.row_slice(empty.bits)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Seeded property test on small games: the direct solver, the naive
-reference, the embedded GR(1) solver and the generic GR(1) solver on the
-embedded spec agree, cold and warm, and extracted strategies check."""
+reference, the embedded GR(1) solver, the generic GR(1) solver on the
+embedded spec and brute-force enumeration agree, cold and warm, and
+extracted strategies check."""
 
 from __future__ import annotations
 
@@ -8,10 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from mtgames.errors import BoundExceeded
 from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
 from mtgames.solver import SolveOptions, solve_mt, solve_mt_reference
 from mtgames.specs import ModeSpec, MTSpec
-from mtgames.strategy import check_strategy, extract_strategy
+from mtgames.strategy import (
+    check_strategy,
+    enumerate_memoryless_winning,
+    extract_strategy,
+)
 
 
 @st.composite
@@ -56,10 +62,22 @@ def build(owners, succs, mode_of, targets):
 @example(([1], [[0]], [0], [[[]]]))
 # Self-loops only, one state outside every mode, targets outside their mode.
 @example(([0, 1, 0], [[0], [1], [2]], [0, 1, -1], [[[1], [0, 2]], [[1]]]))
+# n=0: no state, and every label empty.
+@example(([], [], [], [[[]]]))
+@example(([], [], [], [[[], []], [[]]]))
+# One-state modes: each mode holds one state, with a target on it or not.
+@example(([0, 1, 0], [[1, 2], [0, 2], [0]], [0, 1, 2], [[[0]], [[]], [[1], [2]]]))
+@example(([1, 1], [[0, 1], [1]], [0, 1], [[[]], [[1]]]))
 def test_all_solvers_agree(instance):
     game, spec = build(*instance)
     expected = helpers.frozen(solve_mt(game, spec).winning)
     assert solve_mt_reference(game, spec) == expected
+    try:
+        by_enumeration = enumerate_memoryless_winning(game, spec)
+    except BoundExceeded:
+        pass
+    else:
+        assert helpers.frozen(by_enumeration) == expected
     generic_spec = embed(game, spec).spec()
     for warm in (False, True):
         options = SolveOptions(warm=warm)
