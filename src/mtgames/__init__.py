@@ -64,7 +64,6 @@ from .specs import (
     parse_mt_formula,
     parse_spec_file,
     require_exclusive,
-    validate_mode_exclusivity,
 )
 from .strategy import (
     CheckVerdict,
@@ -138,5 +137,4 @@ __all__ = [
     "solve_mt_reference",
     "solve_persistence_reach",
     "validate_graph",
-    "validate_mode_exclusivity",
 ]

@@ -223,6 +223,8 @@ def gen_random_game(
         )
     if density <= 0:
         raise ValidationError("infeasible parameters: density must be positive")
+    if not math.isfinite(density):
+        raise ValidationError("infeasible parameters: density must be finite")
 
     rng = np.random.default_rng(seed)
     if alternate_owners:

@@ -97,8 +97,11 @@ def _write_csv(path: str, records: list[RunRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"{path} is not UTF-8 text: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +170,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     records: list[RunRecord] = []
     mismatches: list[tuple[str, RunRecord, RunRecord, int]] = []
     for name, game_path, spec_path in instances:
-        game = load_game(game_path.read_text(encoding="utf-8"))
-        spec = parse_spec_file(spec_path.read_text(encoding="utf-8"))
+        game = load_game(_read(game_path))
+        spec = parse_spec_file(_read(spec_path))
         res_mt = solve_mt(game, spec, options)
         res_emb = solve_gr1_emb(game, spec, options)
         rec_mt = RunRecord.from_result(game, spec, res_mt)

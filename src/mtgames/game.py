@@ -58,10 +58,8 @@ class GameGraph:
     labels:
         Mapping from proposition name to an iterable of labeled states.
         Insertion order fixes the proposition table.
-    canonical:
-        When true (default), successor lists are sorted and deduplicated.
-        Pass false to preserve the raw edge list, e.g. so that
-        :func:`validate_graph` can report duplicate edges.
+
+    Successor lists are sorted and deduplicated.
     """
 
     def __init__(
@@ -70,8 +68,6 @@ class GameGraph:
         owners: Sequence[int],
         edges: Iterable[tuple[int, int]],
         labels: Mapping[str, Iterable[int]] | None = None,
-        *,
-        canonical: bool = True,
     ):
         if n < 0:
             raise ValueError("state count must be nonnegative")
@@ -88,11 +84,8 @@ class GameGraph:
         if src.size and (src.min() < 0 or src.max() >= n):
             raise ValueError("edge source out of range")
         # Dangling targets are representable so validate_graph can report them.
-        if canonical:
-            order, again = _sorted_edges(src, dst)
-            order = order[~again]
-        else:
-            order = np.argsort(src, kind="stable")
+        order, again = _sorted_edges(src, dst)
+        order = order[~again]
         src, dst = src[order], dst[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -150,9 +143,6 @@ class GameGraph:
     def owner(self, v: int) -> int:
         return int(self._owner[v])
 
-    def player_states(self, player: int) -> StateSet:
-        return StateSet.from_mask(self._owner == player)
-
     def successors(self, v: int) -> np.ndarray:
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
@@ -178,11 +168,6 @@ class GameGraph:
         return frozenset(
             name for name, mask in zip(self._prop_names, self._prop_masks) if mask[v]
         )
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for v in range(self._n):
-            for w in self.successors(v):
-                yield v, int(w)
 
     def _matrix(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -309,15 +294,23 @@ def validate_graph(game: GameGraph) -> list[str]:
     """Collect structural violations; an empty list means valid.
 
     Reported per state, in state order: no successor (totality), then
-    successor indices out of range, then duplicate edges, each in the
-    order of the state's successor list.
+    successor indices out of range, each in the order of the state's
+    sorted successor list. A graph holds no duplicate edges.
     """
-    n = game.n
-    indptr, dst = game._indptr, game._indices
-    degree = np.diff(indptr)
-    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    src = np.repeat(np.arange(game.n, dtype=np.int64), game._outdeg)
+    return _edge_issues(game.n, src, game._indices)
+
+
+def _edge_issues(n: int, src: np.ndarray, dst: np.ndarray) -> list[str]:
+    """Structural violations of an edge list over states 0..n-1, whose
+    sources are in range.
+
+    Reported per state, in state order: no successor (totality), then
+    targets out of range, then later copies of an edge, each in the
+    order of the list.
+    """
     order, again = _sorted_edges(src, dst)
-    lonely = np.flatnonzero(degree == 0)
+    lonely = np.flatnonzero(np.bincount(src, minlength=n) == 0)
     bad = np.flatnonzero((dst < 0) | (dst >= n))
     dup = order[again]
     # Issues of kind 0, 1, 2, sorted by (state, kind, position in the list);
@@ -436,25 +429,27 @@ def load_game(text: str) -> GameGraph:
     if missing:
         raise GameParseError(f"missing owner for state {missing[0]}")
 
-    game = GameGraph(n, owners, edges, labels)
+    src, dst = _edge_arrays(edges)
+    game = GameGraph(n, owners, (src, dst), labels)
     # Targets were range-checked above, so the only possible issues are a
-    # state without successor and duplicates, which canonical form drops.
-    if game.num_edges != len(edges) or not game._outdeg.all():
-        raw = GameGraph(n, owners, edges, labels, canonical=False)
-        raise ValidationError("; ".join(validate_graph(raw)))
+    # state without successor and duplicates, which the graph drops.
+    if game.num_edges != src.size or not game._outdeg.all():
+        raise ValidationError("; ".join(_edge_issues(n, src, dst)))
     return game
 
 
 def serialize_game(game: GameGraph) -> str:
     """Render a graph in the canonical text form accepted by load_game."""
     out = [f"states {game.n}"]
-    for v in range(game.n):
-        out.append(f"owner {v} {game.owner(v)}")
-    for v in range(game.n):
-        for w in sorted(set(int(x) for x in game.successors(v))):
-            out.append(f"edge {v} {w}")
-    for v in range(game.n):
-        names = sorted(game.label_names(v))
-        if names:
-            out.append(f"label {v} {' '.join(names)}")
+    out.extend(f"owner {v} {o}" for v, o in enumerate(game._owner.tolist()))
+    src = np.repeat(np.arange(game.n), game._outdeg)
+    out.extend(
+        f"edge {v} {w}" for v, w in zip(src.tolist(), game._indices.tolist())
+    )
+    masks = dict(zip(game._prop_names, game._prop_masks))
+    names: list[list[str]] = [[] for _ in range(game.n)]
+    for name in sorted(masks):
+        for v in np.flatnonzero(masks[name]).tolist():
+            names[v].append(name)
+    out.extend(f"label {v} {' '.join(row)}" for v, row in enumerate(names) if row)
     return "\n".join(out) + "\n"

@@ -50,8 +50,8 @@ def embed(game: GameGraph, spec: MTSpec) -> EmbeddedGR1:
     Mode exclusivity is a hard requirement: the equivalence between the
     two objectives breaks when a state carries two modes.
     """
-    require_exclusive(game, spec)
     bound = bind_spec(game, spec)
+    require_exclusive(bound)
     assumptions: list[StateSet] = []
     for j in range(spec.max_targets):
         hit = StateSet.empty(game.n)

@@ -116,10 +116,6 @@ class StateSet:
         """Member states in ascending order."""
         return np.flatnonzero(self._bits)
 
-    def isdisjoint(self, other: "StateSet") -> bool:
-        self._check(other)
-        return not bool(np.any(self._bits & other._bits))
-
     def __repr__(self) -> str:
         n = len(self)
         if n <= 12:

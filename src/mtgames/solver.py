@@ -58,8 +58,8 @@ def solve_mt(
     issues = validate_graph(game)
     if issues:
         raise ValidationError("; ".join(issues))
-    require_exclusive(game, spec)
     bound = bind_spec(game, spec)
+    require_exclusive(bound)
 
     persist_matrix = bound.persistence_sets
     exit_bases = [~ms for ms in bound.mode_sets]
@@ -95,8 +95,8 @@ def solve_mt_reference(game: GameGraph, spec: MTSpec) -> frozenset[int]:
     issues = validate_graph(game)
     if issues:
         raise ValidationError("; ".join(issues))
-    require_exclusive(game, spec)
     bound = bind_spec(game, spec)
+    require_exclusive(bound)
 
     every = frozenset(range(game.n))
     mode_rows: list[tuple[frozenset[int], list[frozenset[int]]]] = []

@@ -357,53 +357,20 @@ def bind_spec(game: GameGraph, spec: MTSpec) -> BoundSpec:
     return BoundSpec(spec, mode_sets, target_sets)
 
 
-@dataclass(frozen=True)
-class ExclusivityReport:
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...]
-    unlabeled: StateSet
-    exhaustive: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_mode_exclusivity(game: GameGraph, spec: MTSpec) -> ExclusivityReport:
-    """Check that mode labels partition-or-underapproximate the state space.
-
-    A state carrying two mode labels is a violation; states carrying
-    none are reported as warnings and determine the ``exhaustive`` flag.
-    """
-    bound = bind_spec(game, spec)
-    counts = np.zeros(game.n, dtype=np.int64)
-    for s in bound.mode_sets:
-        counts += s.bits
+def require_exclusive(bound: BoundSpec) -> None:
+    """Raise :class:`ModeExclusivityError` when a state carries two mode
+    labels (assumption (A)); states carrying none are allowed."""
+    counts = sum(s.bits.astype(np.int64) for s in bound.mode_sets)
     violations = []
-    for v in np.flatnonzero(counts > 1):
+    for v in np.flatnonzero(counts > 1).tolist():
         names = [
-            spec.modes[i].name
-            for i, s in enumerate(bound.mode_sets)
-            if bool(s.bits[v])
+            mode.name
+            for mode, s in zip(bound.spec.modes, bound.mode_sets)
+            if s.bits[v]
         ]
-        violations.append(
-            f"state {int(v)} breaks assumption (A): modes {', '.join(names)}"
-        )
-    unlabeled = StateSet.from_mask(counts == 0)
-    warnings = tuple(
-        f"state {int(v)} carries no mode label" for v in unlabeled.indices()
-    )
-    return ExclusivityReport(
-        tuple(violations), warnings, unlabeled, exhaustive=not bool(unlabeled)
-    )
-
-
-def require_exclusive(game: GameGraph, spec: MTSpec) -> ExclusivityReport:
-    """Raise :class:`ModeExclusivityError` on any exclusivity violation."""
-    report = validate_mode_exclusivity(game, spec)
-    if not report.ok:
-        raise ModeExclusivityError("; ".join(report.violations))
-    return report
+        violations.append(f"state {v} breaks assumption (A): modes {', '.join(names)}")
+    if violations:
+        raise ModeExclusivityError("; ".join(violations))
 
 
 # ---------------------------------------------------------------------------

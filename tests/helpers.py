@@ -103,12 +103,14 @@ def random_subset(seed: int, n: int) -> StateSet:
 # Loop forms of the vectorized graph code, kept as oracles
 
 
-def validate_graph_loop(game: GameGraph) -> list[str]:
-    """Structural issues of ``game``, one state at a time."""
+def validate_graph_loop(n: int, src, dst) -> list[str]:
+    """Structural issues of an edge list over states 0..n-1, one state at
+    a time, each state's edges in list order."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     issues: list[str] = []
-    n = game.n
     for v in range(n):
-        row = game.successors(v)
+        row = dst[src == v]
         if row.size == 0:
             issues.append(f"state {v}: no successor")
             continue
@@ -138,6 +140,21 @@ def canonical_rows_loop(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.concatenate(([0], np.cumsum(counts)))
     indices = np.concatenate(rows) if rows else dst[:0]
     return indptr, indices
+
+
+def serialize_game_loop(game: GameGraph) -> str:
+    """The game text format, written one state at a time."""
+    out = [f"states {game.n}"]
+    for v in range(game.n):
+        out.append(f"owner {v} {game.owner(v)}")
+    for v in range(game.n):
+        for w in sorted(set(int(x) for x in game.successors(v))):
+            out.append(f"edge {v} {w}")
+    for v in range(game.n):
+        names = sorted(game.label_names(v))
+        if names:
+            out.append(f"label {v} {' '.join(names)}")
+    return "\n".join(out) + "\n"
 
 
 def pre_where(game: GameGraph, target: StateSet) -> StateSet:

@@ -18,7 +18,13 @@ from mtgames.benchgen import (
 from mtgames.errors import ValidationError
 from mtgames.game import validate_graph
 from mtgames.solver import solve_mt
-from mtgames.specs import validate_mode_exclusivity
+from mtgames.specs import bind_spec, require_exclusive
+
+
+def assert_modes_partition_states(game, spec):
+    bound = bind_spec(game, spec)
+    require_exclusive(bound)
+    assert (bound.mode_index_of() >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +94,7 @@ def test_robot_two_rooms_shape():
     assert spec.modes[1].targets == ("T2",)
     assert spec.modes[2].targets == ("T1", "T2")
     assert validate_graph(game) == []
-    report = validate_mode_exclusivity(game, spec)
-    assert report.ok and report.exhaustive
+    assert_modes_partition_states(game, spec)
 
 
 def test_robot_turns_alternate():
@@ -199,8 +204,7 @@ def test_random_game_structure():
     game, spec = gen_random_game(50, 3, [2, 1, 3], 2.0, 11)
     assert game.n == 50
     assert validate_graph(game) == []
-    report = validate_mode_exclusivity(game, spec)
-    assert report.ok and report.exhaustive
+    assert_modes_partition_states(game, spec)
     assert spec.target_counts == (2, 1, 3)
     # Every mode is inhabited (the first m states are pinned to them).
     for i, mode in enumerate(spec.modes):
@@ -230,6 +234,8 @@ def test_random_game_deterministic():
         dict(n=5, m=2, targets=[1], density=2.0, seed=0),
         dict(n=5, m=2, targets=[1, 0], density=2.0, seed=0),
         dict(n=5, m=1, targets=[1], density=0.0, seed=0),
+        dict(n=5, m=1, targets=[1], density=float("nan"), seed=0),
+        dict(n=5, m=1, targets=[1], density=float("inf"), seed=0),
     ],
 )
 def test_random_game_infeasible_parameters(kwargs):

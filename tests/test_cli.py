@@ -148,6 +148,47 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def with_bad_byte(path: Path) -> Path:
+    """Copy of ``path`` under a new stem, with a byte that is not UTF-8."""
+    bad = path.with_name("bad_" + path.name)
+    bad.write_bytes(path.read_bytes() + b"# \xff\n")
+    return bad
+
+
+def assert_one_error_line(capsys, path: Path) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_input_exits_2(g1_files, tmp_path, capsys):
+    game_path, spec_path = g1_files
+    win_path, strat_path = tmp_path / "w.txt", tmp_path / "s.txt"
+    solve = ["solve", str(game_path), str(spec_path)]
+    outputs = ["--winning", str(win_path), "--strategy", str(strat_path)]
+    assert cli.main(solve + outputs) == 0
+    capsys.readouterr()
+    for i in (1, 2):
+        argv = list(solve)
+        argv[i] = str(with_bad_byte(Path(argv[i])))
+        assert cli.main(argv) == 2
+        assert_one_error_line(capsys, argv[i])
+    check = ["check", str(game_path), str(spec_path), str(strat_path), str(win_path)]
+    for i in range(1, 5):
+        argv = list(check)
+        argv[i] = str(with_bad_byte(Path(argv[i])))
+        assert cli.main(argv) == 2
+        assert_one_error_line(capsys, argv[i])
+    bad_game = with_bad_byte(game_path)
+    spec_path.with_name(bad_game.stem + ".spec").write_bytes(spec_path.read_bytes())
+    assert cli.main(["compare", str(bad_game)]) == 2
+    assert_one_error_line(capsys, bad_game)
+    bad_spec = with_bad_byte(spec_path)
+    game_path.with_name(bad_spec.stem + ".game").write_bytes(game_path.read_bytes())
+    assert cli.main(["compare", str(bad_spec.with_suffix(".game"))]) == 2
+    assert_one_error_line(capsys, bad_spec)
+
+
 def test_solve_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.game"
     bad.write_text("states 2\nowner 0 0\nowner 1 1\nedge 0 1\n", encoding="utf-8")
@@ -468,6 +509,14 @@ def test_gen_random_cli_errors(tmp_path):
         )
         == 1
     )
+    for density in ("nan", "inf"):
+        assert (
+            cli.main(
+                ["gen-random", "--states", "5", "--modes", "1", "--targets", "1",
+                 "--density", density, "--out", str(tmp_path / "r")]
+            )
+            == 1
+        )
 
 
 def test_gen_robot_cli(tmp_path, capsys):
@@ -570,6 +619,14 @@ def test_gen_series_cli_errors(tmp_path):
         )
         == 2
     )
+    for density in ("nan", "inf"):
+        assert (
+            cli.main(
+                ["gen-series", "--states", "10", "--modes", "1", "--density",
+                 density, "--out-dir", str(tmp_path / "s")]
+            )
+            == 1
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from mtgames.game import (
     PLAYER0,
     PLAYER1,
     GameGraph,
+    _edge_issues,
     load_game,
     pre,
     serialize_game,
@@ -42,10 +43,7 @@ def test_basic_accessors(g2_game):
     assert g.successors(1).tolist() == [0, 1]
     assert g.out_degree(1) == 2
     assert g.num_edges == 3
-    assert set(g.edges()) == {(0, 1), (1, 0), (1, 1)}
     assert g.is_player0_mask.tolist() == [True, False]
-    assert set(g.player_states(PLAYER0)) == {0}
-    assert set(g.player_states(PLAYER1)) == {1}
 
 
 def test_labels_and_props(g1_game):
@@ -211,22 +209,23 @@ def test_validate_totality():
 
 
 def test_validate_dangling_target():
-    g = GameGraph(2, [0, 0], [(0, 5), (1, 0)], canonical=False)
+    g = GameGraph(2, [0, 0], [(0, 5), (1, 0)])
     issues = validate_graph(g)
     assert issues == ["state 0: edge target 5 out of range"]
 
 
 def test_validate_duplicate_edge():
-    g = GameGraph(2, [0, 0], [(0, 1), (0, 1), (1, 0)], canonical=False)
-    assert validate_graph(g) == ["state 0: duplicate edge to 1"]
+    g = GameGraph(2, [0, 0], [(0, 1), (0, 1), (1, 0)])
+    assert g.successors(0).tolist() == [1]
+    assert validate_graph(g) == []
+    src, dst = np.array([0, 0, 1]), np.array([1, 1, 0])
+    assert _edge_issues(2, src, dst) == ["state 0: duplicate edge to 1"]
 
 
 def test_validate_orders_issues_by_state_kind_and_position():
-    g = GameGraph(
-        3, [0, 0, 0], [(2, 7), (0, 1), (2, 0), (2, 7), (2, 0), (2, -1)],
-        canonical=False,
-    )
-    assert validate_graph(g) == [
+    src = np.array([2, 0, 2, 2, 2, 2])
+    dst = np.array([7, 1, 0, 7, 0, -1])
+    assert _edge_issues(3, src, dst) == [
         "state 1: no successor",
         "state 2: edge target 7 out of range",
         "state 2: edge target 7 out of range",
@@ -240,9 +239,8 @@ def test_validate_and_canonical_form_match_loop_oracles():
     kinds = set()
     for seed in range(400):
         n, owners, src, dst = helpers.random_raw_edges(seed)
-        raw = GameGraph(n, owners, (src, dst), canonical=False)
-        issues = validate_graph(raw)
-        assert issues == helpers.validate_graph_loop(raw), f"seed {seed}"
+        issues = _edge_issues(n, src, dst)
+        assert issues == helpers.validate_graph_loop(n, src, dst), f"seed {seed}"
         kinds.update(
             kind
             for kind in ("no successor", "out of range", "duplicate")
@@ -253,7 +251,10 @@ def test_validate_and_canonical_form_match_loop_oracles():
         indptr, indices = helpers.canonical_rows_loop(n, src, dst)
         assert np.array_equal(canon._indptr, indptr), f"seed {seed}"
         assert np.array_equal(canon._indices, indices), f"seed {seed}"
-        assert validate_graph(canon) == helpers.validate_graph_loop(canon)
+        canon_src = np.repeat(np.arange(n), np.diff(indptr))
+        assert validate_graph(canon) == helpers.validate_graph_loop(
+            n, canon_src, indices
+        ), f"seed {seed}"
     assert kinds == {"no successor", "out of range", "duplicate"}
 
 
@@ -265,7 +266,7 @@ def test_load_frozen_example(g2_game):
     g = load_game(G2_TEXT)
     assert g.n == 2
     assert g.owner(0) == 0 and g.owner(1) == 1
-    assert set(g.edges()) == {(0, 1), (1, 0), (1, 1)}
+    assert [g.successors(v).tolist() for v in range(2)] == [[1], [0, 1]]
     assert g == helpers.build_game(2, [0, 1], [(0, 1), (1, 0), (1, 1)])
 
 
@@ -287,6 +288,24 @@ def test_round_trip_structural_identity():
 
 def test_round_trip_with_labels(g1_game):
     assert load_game(serialize_game(g1_game)) == g1_game
+
+
+def test_serialize_matches_loop_oracle():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = 0 if seed < 2 else int(rng.integers(1, 12))
+        # A self-loop on every state keeps the graph total; the random
+        # edges add duplicates.
+        src = np.concatenate((np.arange(n), rng.integers(0, max(n, 1), size=2 * n)))
+        dst = np.concatenate((np.arange(n), rng.integers(0, max(n, 1), size=2 * n)))
+        # Names out of order, some states unlabelled, one proposition empty.
+        names = rng.permutation(["b", "A", "a_1", "Z9", "_q"])[: int(rng.integers(0, 6))]
+        labels = {str(nm): np.flatnonzero(rng.random(n) < 0.3) for nm in names}
+        labels["empty"] = []
+        g = GameGraph(n, rng.integers(0, 2, size=n), (src, dst), labels)
+        text = serialize_game(g)
+        assert text == helpers.serialize_game_loop(g), f"seed {seed}"
+        assert load_game(text) == g
 
 
 def test_serialize_is_canonical_fixed_point():
@@ -349,6 +368,18 @@ def test_load_reports_duplicates_and_missing_successors_in_order():
     assert str(err.value) == (
         "state 0: duplicate edge to 1; state 1: no successor; "
         "state 2: duplicate edge to 2"
+    )
+    # Edges out of source order: each state's duplicates in file order.
+    text = (
+        "states 4\nowner 0 0\nowner 1 1\nowner 2 0\nowner 3 1\n"
+        "edge 2 2\nedge 0 1\nedge 2 0\nedge 0 1\nedge 2 0\nedge 2 2\nedge 0 1\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        load_game(text)
+    assert str(err.value) == (
+        "state 0: duplicate edge to 1; state 0: duplicate edge to 1; "
+        "state 1: no successor; state 2: duplicate edge to 0; "
+        "state 2: duplicate edge to 2; state 3: no successor"
     )
 
 

@@ -101,7 +101,6 @@ def test_algebra_matches_python_sets(case):
     assert (a <= b) == (sa <= sb)
     assert (a < b) == (sa < sb)
     assert (a == b) == (sa == sb)
-    assert a.isdisjoint(b) == sa.isdisjoint(sb)
     assert len(a) == len(sa)
     assert bool(a) == bool(sa)
 

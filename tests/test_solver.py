@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 import helpers
+from mtgames import gr1, solver, specs
 from mtgames.benchgen import gen_random_game
 from mtgames.errors import (
     ModeExclusivityError,
@@ -15,6 +16,7 @@ from mtgames.errors import (
     ValidationError,
 )
 from mtgames.game import GameGraph, pre
+from mtgames.gr1 import embed, solve_gr1_emb
 from mtgames.solver import (
     MTSolveResult,
     SolveOptions,
@@ -100,6 +102,31 @@ def test_rejects_unbound_proposition(g1_game):
     spec = MTSpec((ModeSpec("M1", ("Missing",)),))
     with pytest.raises(UnboundProposition):
         solve_mt(g1_game, spec)
+
+
+@pytest.mark.parametrize("solve", [solve_mt, solve_gr1_emb, solve_mt_reference, embed])
+def test_unbound_proposition_is_reported_before_overlapping_modes(solve):
+    g = helpers.build_game(
+        2, [0, 0], [(0, 1), (1, 0)], {"M1": [0, 1], "M2": [1], "T": [0]}
+    )
+    spec = MTSpec((ModeSpec("M1", ("T",)), ModeSpec("M2", ("Missing",))))
+    with pytest.raises(UnboundProposition):
+        solve(g, spec)
+
+
+@pytest.mark.parametrize("solve", [solve_mt, solve_gr1_emb, solve_mt_reference])
+def test_each_solve_binds_the_spec_once(monkeypatch, solve, g1_game, one_mode_spec):
+    calls = []
+    bind = specs.bind_spec
+
+    def counting(game, spec):
+        calls.append(spec)
+        return bind(game, spec)
+
+    for module in (specs, solver, gr1):
+        monkeypatch.setattr(module, "bind_spec", counting)
+    solve(g1_game, one_mode_spec)
+    assert calls == [one_mode_spec]
 
 
 def test_options_are_frozen():

@@ -27,7 +27,6 @@ from mtgames.specs import (
     parse_mt_formula,
     parse_spec_file,
     require_exclusive,
-    validate_mode_exclusivity,
 )
 
 TWO_MODE_FORMULA = "(FG M1 -> FG T11 | FG T12) & (FG M2 -> FG T21)"
@@ -234,35 +233,33 @@ def test_exclusivity_clean_partition():
         2, [0, 0], [(0, 1), (1, 0)], {"M1": [0], "M2": [1], "T": [0, 1]}
     )
     spec = parse_mt_formula("(FG M1 -> FG T) & (FG M2 -> FG T)")
-    report = validate_mode_exclusivity(g, spec)
-    assert report.ok
-    assert report.exhaustive
-    assert report.warnings == ()
-    assert len(report.unlabeled) == 0
-    require_exclusive(g, spec)  # should not raise
+    bound = bind_spec(g, spec)
+    require_exclusive(bound)  # should not raise
+    assert bound.mode_index_of().tolist() == [0, 1]
 
 
 def test_exclusivity_violation():
     g = helpers.build_game(
-        2, [0, 0], [(0, 1), (1, 0)], {"M1": [0, 1], "M2": [1], "T": [0]}
+        3,
+        [0, 0, 0],
+        [(0, 1), (1, 2), (2, 0)],
+        {"M1": [0, 1, 2], "M2": [1], "M3": [1, 2], "T": [0]},
     )
-    spec = parse_mt_formula("(FG M1 -> FG T) & (FG M2 -> FG T)")
-    report = validate_mode_exclusivity(g, spec)
-    assert not report.ok
-    assert report.violations == ("state 1 breaks assumption (A): modes M1, M2",)
+    spec = parse_mt_formula("(FG M1 -> FG T) & (FG M2 -> FG T) & (FG M3 -> FG T)")
     with pytest.raises(ModeExclusivityError) as err:
-        require_exclusive(g, spec)
-    assert "state 1 breaks assumption (A)" in str(err.value)
+        require_exclusive(bind_spec(g, spec))
+    assert str(err.value) == (
+        "state 1 breaks assumption (A): modes M1, M2, M3; "
+        "state 2 breaks assumption (A): modes M1, M3"
+    )
 
 
-def test_exclusivity_gap_is_warning_not_error():
+def test_exclusivity_gap_is_not_an_error():
     g = helpers.build_game(2, [0, 0], [(0, 1), (1, 0)], {"M1": [0], "T": [0]})
     spec = parse_mt_formula("(FG M1 -> FG T)")
-    report = validate_mode_exclusivity(g, spec)
-    assert report.ok
-    assert not report.exhaustive
-    assert set(report.unlabeled) == {1}
-    assert report.warnings == ("state 1 carries no mode label",)
+    bound = bind_spec(g, spec)
+    require_exclusive(bound)  # should not raise
+    assert bound.mode_index_of().tolist() == [0, -1]
 
 
 # ---------------------------------------------------------------------------
