@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .game import GameGraph
+from .errors import BoundExceeded, ValidationError
+from .game import MAX_EDGES, MAX_STATES, GameGraph
 from .specs import ModeSpec, MTSpec
 
 # Room rectangles in the continuous reference frame the gridworld is
@@ -124,6 +124,10 @@ def gen_cleaning_robot(world: RobotWorld) -> tuple[GameGraph, MTSpec]:
     cells = width * height
     mode_count = (1 << k) - 1
     n = cells * mode_count * 2
+    if n > MAX_STATES:
+        raise BoundExceeded(
+            f"robot game has {n} states, exceeding the bound {MAX_STATES}"
+        )
 
     rng = np.random.default_rng(world.seed)
     room_of = _room_of_cells(world)
@@ -225,6 +229,11 @@ def gen_random_game(
         raise ValidationError("infeasible parameters: density must be positive")
     if not math.isfinite(density):
         raise ValidationError("infeasible parameters: density must be finite")
+    if n > MAX_STATES or n * density > MAX_EDGES:
+        raise BoundExceeded(
+            f"{n} states at density {density} exceed the bound of {MAX_STATES} "
+            f"states or {MAX_EDGES} expected edges"
+        )
 
     rng = np.random.default_rng(seed)
     if alternate_owners:

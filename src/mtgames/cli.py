@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .benchgen import (
@@ -37,8 +37,6 @@ from .strategy import (
     parse_winning,
 )
 
-CSV_HEADER = "algo,n,m,sum_t,max_t,pre_count,outer_iterations,wall_ms,winning_size"
-
 _SOLVERS = {"mt": solve_mt, "gr1emb": solve_gr1_emb}
 
 
@@ -48,7 +46,8 @@ class _Usage(Exception):
 
 @dataclass
 class RunRecord:
-    """One solver run, as reported on stdout and in CSV."""
+    """One solver run, as reported on stdout and in CSV. The fields, in
+    order, are the CSV columns."""
 
     algo: str
     n: int
@@ -76,20 +75,19 @@ class RunRecord:
             winning_size=len(result.winning),
         )
 
+    def _cells(self) -> list[str]:
+        """The field values in CSV_HEADER order, as the CSV writes them."""
+        return [f"{v:.3f}" if isinstance(v, float) else str(v) for v in astuple(self)]
+
     def csv_row(self) -> str:
-        return (
-            f"{self.algo},{self.n},{self.m},{self.sum_t},{self.max_t},"
-            f"{self.pre_count},{self.outer_iterations},{self.wall_ms:.3f},"
-            f"{self.winning_size}"
-        )
+        return ",".join(self._cells())
 
     def human(self) -> str:
-        return (
-            f"algo={self.algo} n={self.n} m={self.m} sum_t={self.sum_t} "
-            f"max_t={self.max_t} pre_count={self.pre_count} "
-            f"outer_iterations={self.outer_iterations} "
-            f"wall_ms={self.wall_ms:.3f} winning_size={self.winning_size}"
-        )
+        names = CSV_HEADER.split(",")
+        return " ".join(f"{k}={v}" for k, v in zip(names, self._cells()))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
 def _write_csv(path: str, records: list[RunRecord]) -> None:

@@ -38,10 +38,13 @@ PLAYER1 = 1
 
 PROP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Largest state count load_game accepts. Generated and benchmarked games
-# stay far below it (n <= 20000); a larger count in a file would ask for
-# memory before a single edge is read.
+# Largest state count load_game and the generators accept. Generated and
+# benchmarked games stay far below it (n <= 20000); a larger count in a
+# file would ask for memory before a single edge is read.
 MAX_STATES = 10_000_000
+# Largest expected edge count (states times density) the random
+# generators accept, checked before any array is drawn.
+MAX_EDGES = 10 * MAX_STATES
 
 
 class GameGraph:
@@ -90,9 +93,10 @@ class GameGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
+        self._src = src
         self._indices = dst
-        self._indptr.flags.writeable = False
-        self._indices.flags.writeable = False
+        for arr in (indptr, src, dst):
+            arr.flags.writeable = False
 
         self._prop_names: tuple[str, ...] = ()
         self._prop_masks: list[np.ndarray] = []
@@ -131,6 +135,12 @@ class GameGraph:
     @property
     def num_edges(self) -> int:
         return int(self._indices.size)
+
+    @property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (sources, targets) of every edge, sorted by source and
+        then target: the successor lists laid end to end."""
+        return self._src, self._indices
 
     @property
     def props(self) -> tuple[str, ...]:
@@ -297,8 +307,7 @@ def validate_graph(game: GameGraph) -> list[str]:
     successor indices out of range, each in the order of the state's
     sorted successor list. A graph holds no duplicate edges.
     """
-    src = np.repeat(np.arange(game.n, dtype=np.int64), game._outdeg)
-    return _edge_issues(game.n, src, game._indices)
+    return _edge_issues(game.n, *game.edge_arrays)
 
 
 def _edge_issues(n: int, src: np.ndarray, dst: np.ndarray) -> list[str]:
@@ -442,10 +451,8 @@ def serialize_game(game: GameGraph) -> str:
     """Render a graph in the canonical text form accepted by load_game."""
     out = [f"states {game.n}"]
     out.extend(f"owner {v} {o}" for v, o in enumerate(game._owner.tolist()))
-    src = np.repeat(np.arange(game.n), game._outdeg)
-    out.extend(
-        f"edge {v} {w}" for v, w in zip(src.tolist(), game._indices.tolist())
-    )
+    src, dst = game.edge_arrays
+    out.extend(f"edge {v} {w}" for v, w in zip(src.tolist(), dst.tolist()))
     masks = dict(zip(game._prop_names, game._prop_masks))
     names: list[list[str]] = [[] for _ in range(game.n)]
     for name in sorted(masks):

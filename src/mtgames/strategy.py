@@ -33,9 +33,10 @@ from .solver import MTSolveResult
 from .specs import LassoWord, MTSpec, bind_spec, lasso_satisfies
 
 
-# Default state bound of check_strategy. A `check` run costs about 25 us a
-# state on a 2-core x86-64 VM (0.38 s for the 15872-state five-room
-# robot, 1.3 s for a 100000-state random game).
+# Default state bound of check_strategy. A `check` run costs 12-17 us a
+# state after start-up on a 2-core x86-64 VM, most of it loading the game
+# (0.27 s for the 15872-state five-room robot, 1.2 s for a 100000-state
+# random game).
 CHECK_MAX_STATES = 100_000
 
 
@@ -142,8 +143,8 @@ class CheckVerdict:
     """Outcome of a strategy check.
 
     reason is one of: missing-choice, illegal-edge, escapes-winning,
-    violating-cycle. For violating-cycle the lasso fields hold a
-    concrete losing play (cycle repeated forever, empty prefix).
+    violating-cycle. For violating-cycle, cycle holds a concrete losing
+    play: the cycle repeated forever.
     """
 
     ok: bool
@@ -151,53 +152,54 @@ class CheckVerdict:
     detail: str = ""
     edge: tuple[int, int] | None = None
     mode: str | None = None
-    prefix: tuple[int, ...] = ()
     cycle: tuple[int, ...] = ()
 
     def lasso(self, game: GameGraph) -> LassoWord | None:
         if not self.cycle:
             return None
-        return LassoWord(
-            tuple(game.label_names(v) for v in self.prefix),
-            tuple(game.label_names(v) for v in self.cycle),
-        )
+        return LassoWord((), tuple(game.label_names(v) for v in self.cycle))
 
 
-def _bfs_path(
-    start: int, goal: int, members: set[int], succ: dict[int, list[int]]
-) -> list[int]:
-    """Shortest path start..goal of at least one edge inside ``members``;
-    with start == goal this finds a shortest nontrivial cycle."""
+def _bfs_path(start: int, goal: int, succ: dict[int, list[int]]) -> list[int]:
+    """Shortest path start..goal of at least one edge of ``succ``; with
+    start == goal this finds a shortest nontrivial cycle."""
     parent: dict[int, int] = {}
-    q: deque[int] = deque()
-
-    def push(node: int, via: int) -> None:
-        if node in members and node not in parent:
-            parent[node] = via
-            q.append(node)
-
-    for w in succ[start]:
-        push(w, start)
-    while q:
+    q = deque([start])
+    while q and goal not in parent:
         u = q.popleft()
-        if u == goal:
-            break
         for w in succ[u]:
-            push(w, u)
+            if w not in parent:
+                parent[w] = u
+                q.append(w)
     if goal not in parent:
         raise RuntimeError(
             "internal error: no path inside strongly connected component"
         )
-    rev = [goal]
-    cur = goal
-    while True:
-        via = parent[cur]
-        rev.append(via)
-        if via == start:
-            break
-        cur = via
-    rev.reverse()
-    return rev
+    path = [goal, parent[goal]]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _stitch_cycle(witnesses: list[int], succ: dict[int, list[int]]) -> list[int]:
+    """Closed walk through all witnesses inside one strongly connected
+    component, whose edges ``succ`` holds; returned without the
+    duplicated final state."""
+    walk = [witnesses[0]]
+    for cur, nxt in zip(witnesses, witnesses[1:] + witnesses[:1]):
+        walk.extend(_bfs_path(cur, nxt, succ)[1:])
+    return walk[:-1]
+
+
+def _chosen(n: int, choices: dict[int, int]) -> np.ndarray:
+    """Per state, the successor ``choices`` picks, or -1 where it picks
+    none inside 0..n-1. The range test runs on the Python ints, so a
+    choice beyond int64 cannot overflow."""
+    pairs = np.array(list(choices.items()), dtype=object).reshape(-1, 2)
+    inside = ((pairs >= 0) & (pairs < n)).all(axis=1)
+    chosen = np.full(n, -1, dtype=np.int64)
+    chosen[pairs[inside, 0].astype(np.int64)] = pairs[inside, 1].astype(np.int64)
+    return chosen
 
 
 def check_strategy(
@@ -222,119 +224,74 @@ def check_strategy(
         raise BoundExceeded(
             f"graph has {game.n} states, exceeding the checker bound {max_states}"
         )
+    if winning.universe != game.n:
+        raise ValueError("winning set does not belong to this game graph")
     bound = bind_spec(game, spec)
-    win_bits = winning.bits
+    n, win, p0 = game.n, winning.bits, game.is_player0_mask
+    src, dst = game.edge_arrays
 
-    # Closure of the winning set under the followed edges.
-    succ: dict[int, list[int]] = {}
-    for v in winning.indices():
-        v = int(v)
-        outs = [int(w) for w in game.successors(v)]
-        if game.owner(v) == PLAYER0:
-            c = strategy.choices.get(v)
-            if c is None:
-                return CheckVerdict(
-                    False,
-                    "missing-choice",
-                    f"Player0 winning state {v} has no chosen successor",
-                )
-            if c not in outs:
-                return CheckVerdict(
-                    False,
-                    "illegal-edge",
-                    f"chosen move {v} -> {c} is not an edge of the graph",
-                    edge=(v, c),
-                )
-            outs = [c]
-        for w in outs:
-            if not win_bits[w]:
-                return CheckVerdict(
-                    False,
-                    "escapes-winning",
-                    f"edge {v} -> {w} leaves the winning set",
-                    edge=(v, w),
-                )
-        succ[v] = outs
+    # Closure of the winning set under the followed edges: all edges of a
+    # winning Player 1 state, the chosen edge of a winning Player 0 state.
+    # Reported is the first state in order that has no legal choice or
+    # follows an edge out of the set, and its first such edge.
+    followed = win[src] & (~p0[src] | (dst == _chosen(n, strategy.choices)[src]))
+    fs, fd = src[followed], dst[followed]
+    moved = np.zeros(n, dtype=bool)
+    moved[fs] = True
+    unmoved = np.flatnonzero(win & p0 & ~moved)[:1]
+    escape = np.flatnonzero(~win[fd])[:1]
+    if escape.size and not (unmoved.size and unmoved[0] < fs[escape[0]]):
+        v, w = int(fs[escape[0]]), int(fd[escape[0]])
+        detail = f"edge {v} -> {w} leaves the winning set"
+        return CheckVerdict(False, "escapes-winning", detail, edge=(v, w))
+    if unmoved.size:
+        v = int(unmoved[0])
+        c = strategy.choices.get(v)
+        if c is None:
+            detail = f"Player0 winning state {v} has no chosen successor"
+            return CheckVerdict(False, "missing-choice", detail)
+        detail = f"chosen move {v} -> {c} is not an edge of the graph"
+        return CheckVerdict(False, "illegal-edge", detail, edge=(v, c))
 
-    # Cycle criterion, one mode at a time.
+    # Cycle criterion, one mode at a time, on the followed edges between
+    # the mode's winning states. A component is a cycle when it has two
+    # states or a self-loop, and it violates the mode when it has a state
+    # outside each of the mode's targets.
     for i, mode in enumerate(spec.modes):
-        member_arr = win_bits & bound.mode_sets[i].bits
-        nodes = [int(v) for v in np.flatnonzero(member_arr)]
-        if not nodes:
+        inside = win & bound.mode_sets[i].bits
+        keep = inside[fs] & inside[fd]
+        s, d = fs[keep], fd[keep]
+        if not s.size:
             continue
-        members = set(nodes)
-        local = {v: idx for idx, v in enumerate(nodes)}
-        rows, cols = [], []
-        self_loop = set()
-        for v in nodes:
-            for w in succ[v]:
-                if w in members:
-                    rows.append(local[v])
-                    cols.append(local[w])
-                    if w == v:
-                        self_loop.add(v)
-        if not rows:
-            continue
-        adj = csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-            shape=(len(nodes), len(nodes)),
-        )
+        adj = csr_matrix((np.ones(s.size, dtype=np.int8), (s, d)), shape=(n, n))
         ncomp, labels = connected_components(adj, directed=True, connection="strong")
-        # Members of each component, grouped by one sort instead of a scan
-        # of all labels per component.
-        by_comp = np.argsort(labels, kind="stable")
-        cuts = np.searchsorted(labels[by_comp], np.arange(ncomp + 1)).tolist()
-        by_comp = by_comp.tolist()
-        for comp in range(ncomp):
-            comp_nodes = [nodes[idx] for idx in by_comp[cuts[comp] : cuts[comp + 1]]]
-            if len(comp_nodes) == 1 and comp_nodes[0] not in self_loop:
-                continue
-            witnesses: list[int] = []
-            violating = True
-            for j in range(len(mode.targets)):
-                tb = bound.target_sets[i][j].bits
-                outside = next((v for v in comp_nodes if not tb[v]), None)
-                if outside is None:
-                    violating = False  # this target contains the component
-                    break
-                if outside not in witnesses:
-                    witnesses.append(outside)
-            if not violating:
-                continue
-            comp_set = set(comp_nodes)
-            cycle = _stitch_cycle(witnesses, comp_set, succ)
-            verdict = CheckVerdict(
-                False,
-                "violating-cycle",
-                f"cycle settles in mode {mode.name} but in none of its targets",
-                mode=mode.name,
-                cycle=tuple(cycle),
-            )
-            word = verdict.lasso(game)
-            assert word is not None and not lasso_satisfies(spec, word), (
-                "internal error: constructed counterexample satisfies the objective"
-            )
-            return verdict
+        bad = np.bincount(labels, minlength=ncomp) > 1
+        bad[labels[s[s == d]]] = True
+        targets = [t.bits for t in bound.target_sets[i]]
+        for t in targets:
+            bad &= np.bincount(labels[~t], minlength=ncomp) > 0
+        if not bad.any():
+            continue
+        # Counterexample: a closed walk through the component's first state
+        # outside each target, on the component's own edges.
+        comp = int(np.argmax(bad))
+        members = np.flatnonzero(labels == comp)
+        witnesses = dict.fromkeys(int(members[~t[members]][0]) for t in targets)
+        succ: dict[int, list[int]] = {v: [] for v in members.tolist()}
+        within = (labels[s] == comp) & (labels[d] == comp)
+        for v, w in zip(s[within].tolist(), d[within].tolist()):
+            succ[v].append(w)
+        detail = f"cycle settles in mode {mode.name} but in none of its targets"
+        cycle = tuple(_stitch_cycle(list(witnesses), succ))
+        verdict = CheckVerdict(
+            False, "violating-cycle", detail, mode=mode.name, cycle=cycle
+        )
+        word = verdict.lasso(game)
+        assert word is not None and not lasso_satisfies(spec, word), (
+            "internal error: constructed counterexample satisfies the objective"
+        )
+        return verdict
     return CheckVerdict(True)
-
-
-def _stitch_cycle(
-    witnesses: list[int], members: set[int], succ: dict[int, list[int]]
-) -> list[int]:
-    """Closed walk through all witnesses inside one strongly connected
-    component; returned without the duplicated final state."""
-    if len(witnesses) == 1:
-        w = witnesses[0]
-        path = _bfs_path(w, w, members, succ)
-        return path[:-1]
-    walk = [witnesses[0]]
-    stops = witnesses[1:] + [witnesses[0]]
-    cur = witnesses[0]
-    for nxt in stops:
-        seg = _bfs_path(cur, nxt, members, succ)
-        walk.extend(seg[1:])
-        cur = nxt
-    return walk[:-1]
 
 
 # ---------------------------------------------------------------------------

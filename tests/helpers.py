@@ -7,11 +7,17 @@ optimized code paths, so tests cross-check rather than echo.
 
 from __future__ import annotations
 
-import numpy as np
+from collections import deque
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from mtgames.errors import BoundExceeded
 from mtgames.game import PLAYER0, PLAYER1, GameGraph
 from mtgames.sets import StateSet
-from mtgames.specs import ModeSpec, MTSpec
+from mtgames.specs import ModeSpec, MTSpec, bind_spec, lasso_satisfies
+from mtgames.strategy import CHECK_MAX_STATES, CheckVerdict, Strategy
 
 
 def build_game(n, owners, edges, labels=None) -> GameGraph:
@@ -176,3 +182,273 @@ def random_raw_edges(seed: int) -> tuple[int, list[int], np.ndarray, np.ndarray]
     src = rng.integers(0, max(n, 1), size=m)
     dst = rng.integers(-2, n + 2, size=m)
     return n, owners, src, dst
+
+
+# ---------------------------------------------------------------------------
+# Strategy checker corpus and the loop checker it is compared against
+
+
+def followed_closure(game: GameGraph, choices: dict[int, int], start) -> StateSet:
+    """States reachable from ``start`` when Player 0 follows ``choices``
+    (where it has one) and Player 1 moves freely."""
+    seen = set(int(v) for v in start)
+    todo = list(seen)
+    while todo:
+        v = todo.pop()
+        if game.owner(v) == PLAYER0 and v in choices:
+            outs = [choices[v]]
+        else:
+            outs = [int(w) for w in game.successors(v)]
+        for w in outs:
+            if 0 <= w < game.n and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return StateSet(game.n, sorted(seen))
+
+
+def checker_case(seed: int) -> tuple[GameGraph, MTSpec, Strategy, StateSet]:
+    """A seeded claim for the strategy checker: (game, spec, strategy,
+    claimed winning set) on up to 15 states with 1-3 modes of 1-3
+    targets each.
+
+    By ``seed % 3``: 0 gives exclusive, exhaustive modes with the solver's
+    extracted strategy and winning set; 1 exclusive modes that leave some
+    states unlabelled, and 2 overlapping modes, both with a random
+    strategy claimed winning from the states it reaches. A third of the
+    cases are then corrupted: a choice dropped or moved (to another
+    successor, a random state, -1, n or 2**64), or a state added to or
+    removed from the claim.
+    """
+    from mtgames.solver import solve_mt
+    from mtgames.strategy import extract_strategy
+
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    n = int(rng.integers(1, 16))
+    owners = rng.integers(0, 2, size=n).tolist()
+    edges = [
+        (v, int(w))
+        for v in range(n)
+        for w in rng.integers(0, n, size=int(rng.integers(1, 4)))
+    ]
+    m = int(rng.integers(1, 4))
+    if kind == 2:
+        mode_masks = [rng.random(n) < 0.6 for _ in range(m)]
+    else:
+        mode_of = rng.integers(0, m if kind == 0 else m + 1, size=n)
+        mode_masks = [mode_of == i for i in range(m)]
+    labels = {f"M{i + 1}": np.flatnonzero(mask).tolist() for i, mask in enumerate(mode_masks)}
+    modes = []
+    for i in range(m):
+        names = [f"T{i + 1}_{j + 1}" for j in range(int(rng.integers(1, 4)))]
+        for name in names:
+            labels[name] = np.flatnonzero(rng.random(n) < 0.4).tolist()
+        modes.append(ModeSpec(f"M{i + 1}", tuple(names)))
+    game = build_game(n, owners, edges, labels)
+    spec = MTSpec(tuple(modes))
+
+    if kind == 0:
+        result = solve_mt(game, spec)
+        strategy = extract_strategy(game, spec, result)
+        choices, claim = dict(strategy.choices), set(frozen(result.winning))
+    else:
+        choices = {
+            v: int(rng.choice(game.successors(v)))
+            for v in range(n)
+            if owners[v] == PLAYER0
+        }
+        start = np.flatnonzero(rng.random(n) < 0.3)
+        claim = set(frozen(followed_closure(game, choices, start)))
+
+    if rng.random() < 1 / 3:
+        corruption = int(rng.integers(0, 4))
+        if corruption == 0 and choices:
+            del choices[int(rng.choice(sorted(choices)))]
+        elif corruption == 1 and choices:
+            v = int(rng.choice(sorted(choices)))
+            picks = [-1, n, 2**64, int(rng.integers(0, n))]
+            picks += [int(w) for w in game.successors(v)] * 2
+            choices[v] = picks[int(rng.integers(0, len(picks)))]
+        elif corruption == 2:
+            claim.add(int(rng.integers(0, n)))
+        elif claim:
+            claim.discard(int(rng.choice(sorted(claim))))
+    return game, spec, Strategy(choices, len(claim)), StateSet(n, sorted(claim))
+
+
+def _bfs_path_loop(
+    start: int, goal: int, members: set[int], succ: dict[int, list[int]]
+) -> list[int]:
+    """Shortest path start..goal of at least one edge inside ``members``;
+    with start == goal this finds a shortest nontrivial cycle."""
+    parent: dict[int, int] = {}
+    q: deque[int] = deque()
+
+    def push(node: int, via: int) -> None:
+        if node in members and node not in parent:
+            parent[node] = via
+            q.append(node)
+
+    for w in succ[start]:
+        push(w, start)
+    while q:
+        u = q.popleft()
+        if u == goal:
+            break
+        for w in succ[u]:
+            push(w, u)
+    if goal not in parent:
+        raise RuntimeError(
+            "internal error: no path inside strongly connected component"
+        )
+    rev = [goal]
+    cur = goal
+    while True:
+        via = parent[cur]
+        rev.append(via)
+        if via == start:
+            break
+        cur = via
+    rev.reverse()
+    return rev
+
+
+def check_strategy_loop(
+    game: GameGraph,
+    spec: MTSpec,
+    strategy: Strategy,
+    winning: StateSet,
+    *,
+    max_states: int = CHECK_MAX_STATES,
+) -> CheckVerdict:
+    """The checker as it was before it worked on edge masks, kept as an
+    oracle: it follows the strategy one winning state at a time and
+    renumbers each mode's states into a local graph.
+
+    Verify that every play from ``winning`` under the strategy wins.
+
+    Follows Player 0's choices, leaves Player 1 unrestricted, and
+    checks (a) the play can never leave ``winning`` and (b) no
+    reachable cycle settles in a mode without settling in one of its
+    targets. Exact: works on strongly connected components, which is
+    equivalent to checking every cycle, because a component has a
+    target-avoiding cycle exactly when it has a state outside each
+    target.
+    """
+    if game.n > max_states:
+        raise BoundExceeded(
+            f"graph has {game.n} states, exceeding the checker bound {max_states}"
+        )
+    bound = bind_spec(game, spec)
+    win_bits = winning.bits
+
+    # Closure of the winning set under the followed edges.
+    succ: dict[int, list[int]] = {}
+    for v in winning.indices():
+        v = int(v)
+        outs = [int(w) for w in game.successors(v)]
+        if game.owner(v) == PLAYER0:
+            c = strategy.choices.get(v)
+            if c is None:
+                return CheckVerdict(
+                    False,
+                    "missing-choice",
+                    f"Player0 winning state {v} has no chosen successor",
+                )
+            if c not in outs:
+                return CheckVerdict(
+                    False,
+                    "illegal-edge",
+                    f"chosen move {v} -> {c} is not an edge of the graph",
+                    edge=(v, c),
+                )
+            outs = [c]
+        for w in outs:
+            if not win_bits[w]:
+                return CheckVerdict(
+                    False,
+                    "escapes-winning",
+                    f"edge {v} -> {w} leaves the winning set",
+                    edge=(v, w),
+                )
+        succ[v] = outs
+
+    # Cycle criterion, one mode at a time.
+    for i, mode in enumerate(spec.modes):
+        member_arr = win_bits & bound.mode_sets[i].bits
+        nodes = [int(v) for v in np.flatnonzero(member_arr)]
+        if not nodes:
+            continue
+        members = set(nodes)
+        local = {v: idx for idx, v in enumerate(nodes)}
+        rows, cols = [], []
+        self_loop = set()
+        for v in nodes:
+            for w in succ[v]:
+                if w in members:
+                    rows.append(local[v])
+                    cols.append(local[w])
+                    if w == v:
+                        self_loop.add(v)
+        if not rows:
+            continue
+        adj = csr_matrix(
+            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
+            shape=(len(nodes), len(nodes)),
+        )
+        ncomp, labels = connected_components(adj, directed=True, connection="strong")
+        # Members of each component, grouped by one sort instead of a scan
+        # of all labels per component.
+        by_comp = np.argsort(labels, kind="stable")
+        cuts = np.searchsorted(labels[by_comp], np.arange(ncomp + 1)).tolist()
+        by_comp = by_comp.tolist()
+        for comp in range(ncomp):
+            comp_nodes = [nodes[idx] for idx in by_comp[cuts[comp] : cuts[comp + 1]]]
+            if len(comp_nodes) == 1 and comp_nodes[0] not in self_loop:
+                continue
+            witnesses: list[int] = []
+            violating = True
+            for j in range(len(mode.targets)):
+                tb = bound.target_sets[i][j].bits
+                outside = next((v for v in comp_nodes if not tb[v]), None)
+                if outside is None:
+                    violating = False  # this target contains the component
+                    break
+                if outside not in witnesses:
+                    witnesses.append(outside)
+            if not violating:
+                continue
+            comp_set = set(comp_nodes)
+            cycle = _stitch_cycle_loop(witnesses, comp_set, succ)
+            verdict = CheckVerdict(
+                False,
+                "violating-cycle",
+                f"cycle settles in mode {mode.name} but in none of its targets",
+                mode=mode.name,
+                cycle=tuple(cycle),
+            )
+            word = verdict.lasso(game)
+            assert word is not None and not lasso_satisfies(spec, word), (
+                "internal error: constructed counterexample satisfies the objective"
+            )
+            return verdict
+    return CheckVerdict(True)
+
+
+def _stitch_cycle_loop(
+    witnesses: list[int], members: set[int], succ: dict[int, list[int]]
+) -> list[int]:
+    """Closed walk through all witnesses inside one strongly connected
+    component; returned without the duplicated final state."""
+    if len(witnesses) == 1:
+        w = witnesses[0]
+        path = _bfs_path_loop(w, w, members, succ)
+        return path[:-1]
+    walk = [witnesses[0]]
+    stops = witnesses[1:] + [witnesses[0]]
+    cur = witnesses[0]
+    for nxt in stops:
+        seg = _bfs_path_loop(cur, nxt, members, succ)
+        walk.extend(seg[1:])
+        cur = nxt
+    return walk[:-1]

@@ -8,13 +8,14 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import helpers
 import mtgames
-from mtgames import cli
+from mtgames import benchgen, cli
 from mtgames.fixpoint import ModeTrace
 from mtgames.game import load_game, serialize_game
 from mtgames.solver import solve_mt
@@ -341,6 +342,19 @@ def test_check_rejects_winning_header_mismatch(g1_files, tmp_path, capsys):
     assert cli.main(["check", *files]) == 0
 
 
+def test_check_huge_successor_is_an_illegal_edge(g1_files, tmp_path, capsys):
+    files = _solved_g1(g1_files, tmp_path)
+    huge = 2**64
+    Path(files[2]).write_text(f"move 0 {huge}\nmove 1 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["check", *files]) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        f"FAIL: illegal-edge: chosen move 0 -> {huge} is not an edge of the graph\n"
+        f"  offending edge: 0 -> {huge}\n"
+    )
+
+
 def test_check_default_bound_admits_three_room_robot(tmp_path, capsys):
     prefix = str(tmp_path / "robot3")
     assert cli.main(["gen-robot", "--rooms", "3", "--out", prefix]) == 0
@@ -627,6 +641,41 @@ def test_gen_series_cli_errors(tmp_path):
             )
             == 1
         )
+
+
+@pytest.mark.parametrize(
+    "argv, max_states",
+    [
+        (["gen-random", "--states", "5", "--modes", "1", "--targets", "1",
+          "--density", "1e19", "--out", "r"], None),
+        (["gen-series", "--states", "10", "--modes", "1", "--density", "1e18",
+          "--out-dir", "s"], None),
+        # With the state bound lowered to 100, so that a missing check
+        # builds a small game instead of a huge one.
+        (["gen-random", "--states", "101", "--modes", "1", "--targets", "1",
+          "--out", "r"], 100),
+        (["gen-series", "--states", "101", "--modes", "1", "--out-dir", "s"], 100),
+        (["gen-robot", "--rooms", "2", "--grid", "9x8", "--out", "rb"], 100),
+    ],
+)
+def test_generator_bounds_exit_4_before_allocating(
+    argv, max_states, tmp_path, monkeypatch, capsys
+):
+    if max_states is not None:
+        monkeypatch.setattr(benchgen, "MAX_STATES", max_states)
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed" in err
+    assert peak < 1_000_000
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def test_basic_accessors(g2_game):
     assert g.is_player0_mask.tolist() == [True, False]
 
 
+def test_edge_arrays_are_the_successor_lists_read_only():
+    g = helpers.build_game(3, [0, 1, 0], [(2, 0), (0, 2), (0, 1), (0, 2), (1, 1)])
+    src, dst = g.edge_arrays
+    assert src.tolist() == [0, 0, 1, 2]
+    assert dst.tolist() == [1, 2, 1, 0]
+    for v in range(g.n):
+        assert dst[src == v].tolist() == g.successors(v).tolist()
+    for arr in (src, dst):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_labels_and_props(g1_game):
     g = g1_game
     assert set(g.props) == {"M1", "T11"}

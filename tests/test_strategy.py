@@ -263,6 +263,86 @@ def test_check_passes_across_random_corpus():
         assert verdict.ok, f"seed {seed}: {verdict.reason} {verdict.detail}"
 
 
+def test_check_rejects_a_winning_set_of_another_universe():
+    game, spec = gen_random_game(20, 1, [1], 2.0, 0)
+    for universe in (5, 40):
+        claimed = StateSet(universe, range(universe))
+        with pytest.raises(ValueError, match="does not belong to this game graph"):
+            check_strategy(game, spec, Strategy({}, universe), claimed)
+
+
+def test_check_matches_loop_checker_on_seeded_corpus():
+    # helpers.checker_case cycles through extracted, random and
+    # overlapping-mode claims, a third of them corrupted.
+    reasons: dict[tuple[int, str | None], int] = {}
+    for seed in range(1500):
+        game, spec, strategy, claimed = helpers.checker_case(seed)
+        expected = helpers.check_strategy_loop(game, spec, strategy, claimed)
+        assert check_strategy(game, spec, strategy, claimed) == expected, f"seed {seed}"
+        key = (seed % 3, expected.reason)
+        reasons[key] = reasons.get(key, 0) + 1
+    for kind in range(3):
+        for reason in (None, "missing-choice", "illegal-edge", "escapes-winning"):
+            assert reasons.get((kind, reason), 0) >= 10, (kind, reason, reasons)
+    assert reasons[(1, "violating-cycle")] + reasons[(2, "violating-cycle")] >= 300
+
+
+def test_check_reports_the_first_violating_component_of_a_mode():
+    # Two violating components in M1, {0, 1} and {2, 3, 4}; the Player 1
+    # state 0 leads into both. The reported one, and its cycle stitched
+    # through one witness per target (3 outside T11, 2 outside T12), are
+    # pinned.
+    g = helpers.build_game(
+        6,
+        [1, 0, 0, 0, 0, 0],
+        [(0, 1), (0, 2), (1, 0), (2, 3), (3, 4), (4, 2), (5, 5)],
+        {"M1": [0, 1, 2, 3, 4], "T11": [0, 2, 5], "T12": [1, 3, 5], "M2": [5], "T2": [5]},
+    )
+    spec = parse_mt_formula("(FG M1 -> FG T11 | FG T12) & (FG M2 -> FG T2)")
+    strat = Strategy({1: 0, 2: 3, 3: 4, 4: 2, 5: 5}, 6)
+    verdict = check_strategy(g, spec, strat, StateSet.full(6))
+    assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M1", (3, 4, 2))
+
+
+def test_check_reports_violating_modes_in_spec_order():
+    g = helpers.build_game(
+        4,
+        [0, 0, 0, 0],
+        [(0, 1), (1, 0), (2, 3), (3, 2)],
+        {"M1": [0, 1], "T1": [0], "M2": [2, 3], "T2": [3]},
+    )
+    strat = Strategy({0: 1, 1: 0, 2: 3, 3: 2}, 4)
+    for formula, mode, cycle in (
+        ("(FG M1 -> FG T1) & (FG M2 -> FG T2)", "M1", (1, 0)),
+        ("(FG M2 -> FG T2) & (FG M1 -> FG T1)", "M2", (2, 3)),
+    ):
+        verdict = check_strategy(g, parse_mt_formula(formula), strat, StateSet.full(4))
+        assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", mode, cycle)
+
+
+def test_check_overlapping_modes_are_checked_one_at_a_time():
+    spec = parse_mt_formula("(FG M1 -> FG T1) & (FG M2 -> FG T2)")
+    # One cycle inside both modes: it settles in T1, so M1 holds, but
+    # not in T2, so M2 breaks.
+    g = helpers.build_game(
+        2, [0, 0], [(0, 1), (1, 0)], {"M1": [0, 1], "M2": [0, 1], "T1": [0, 1], "T2": [0]}
+    )
+    verdict = check_strategy(g, spec, Strategy({0: 1, 1: 0}, 2), StateSet.full(2))
+    assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M2", (1, 0))
+    # State 0 is in both modes, on an M1 cycle through 1 and an M2 cycle
+    # through 2. Together the three states form one component that lies
+    # in no single mode; only M2's own decomposition finds the cycle.
+    g = helpers.build_game(
+        3,
+        [1, 0, 0],
+        [(0, 1), (0, 2), (1, 0), (2, 0)],
+        {"M1": [0, 1], "M2": [0, 2], "T1": [0, 1], "T2": [0]},
+    )
+    verdict = check_strategy(g, spec, Strategy({1: 0, 2: 0}, 3), StateSet.full(3))
+    assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M2", (2, 0))
+    assert not lasso_satisfies(spec, verdict.lasso(g))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force enumeration oracle
 
