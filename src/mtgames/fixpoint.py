@@ -275,11 +275,13 @@ def solve_stable_conjunction(
             )
             if warm:
                 seeds[i] = res.final_x
-            if record:
+            new_z &= res.value.bits
+            # Only a round that leaves Z unchanged is final; the traces of
+            # any other round would be thrown away.
+            if record and np.array_equal(new_z, z):
                 traces[i] = ModeTrace.from_iterates(
                     res.y_iterates, res.x_iterates, len(persist_matrix[i])
                 )
-            new_z &= res.value.bits
         if np.array_equal(new_z, z):
             break
         z = new_z

@@ -57,7 +57,7 @@ class GameGraph:
     owners:
         Length-n sequence of 0/1 (0 = Player 0 state).
     edges:
-        Iterable of (source, target) pairs.
+        Iterable of (source, target) pairs, each in 0..n-1.
     labels:
         Mapping from proposition name to an iterable of labeled states.
         Insertion order fixes the proposition table.
@@ -86,7 +86,8 @@ class GameGraph:
         src, dst = _edge_arrays(edges)
         if src.size and (src.min() < 0 or src.max() >= n):
             raise ValueError("edge source out of range")
-        # Dangling targets are representable so validate_graph can report them.
+        if dst.size and (dst.min() < 0 or dst.max() >= n):
+            raise ValueError("edge target out of range")
         order, again = _sorted_edges(src, dst)
         order = order[~again]
         src, dst = src[order], dst[order]
@@ -181,10 +182,6 @@ class GameGraph:
 
     def _matrix(self) -> sp.csr_matrix:
         if self._csr is None:
-            if self._indices.size and self._indices.max() >= self._n:
-                raise ValidationError("graph has dangling successor indices")
-            if self._indices.size and self._indices.min() < 0:
-                raise ValidationError("graph has negative successor indices")
             data = np.ones(self._indices.size, dtype=np.int32)
             self._csr = sp.csr_matrix(
                 (data, self._indices.astype(np.int32), self._indptr),
@@ -301,43 +298,36 @@ def pre(
 
 
 def validate_graph(game: GameGraph) -> list[str]:
-    """Collect structural violations; an empty list means valid.
+    """Structural violations; an empty list means valid.
 
-    Reported per state, in state order: no successor (totality), then
-    successor indices out of range, each in the order of the state's
-    sorted successor list. A graph holds no duplicate edges.
+    A graph's targets are in range and its edges unique, so the only
+    violation left is a state with no successor (totality), reported in
+    state order.
     """
-    return _edge_issues(game.n, *game.edge_arrays)
+    lonely = np.flatnonzero(game._outdeg == 0)
+    return [f"state {v}: no successor" for v in lonely.tolist()]
 
 
 def _edge_issues(n: int, src: np.ndarray, dst: np.ndarray) -> list[str]:
     """Structural violations of an edge list over states 0..n-1, whose
-    sources are in range.
+    sources and targets are in range.
 
-    Reported per state, in state order: no successor (totality), then
-    targets out of range, then later copies of an edge, each in the
-    order of the list.
+    Reported per state, in state order: no successor (totality), or
+    later copies of an edge in the order of the list.
     """
     order, again = _sorted_edges(src, dst)
     lonely = np.flatnonzero(np.bincount(src, minlength=n) == 0)
-    bad = np.flatnonzero((dst < 0) | (dst >= n))
     dup = order[again]
-    # Issues of kind 0, 1, 2, sorted by (state, kind, position in the list);
-    # the no-successor template ignores its target.
-    state = np.concatenate((lonely, src[bad], src[dup]))
-    kind = np.repeat([0, 1, 2], (lonely.size, bad.size, dup.size))
-    pos = np.concatenate((np.zeros_like(lonely), bad, dup))
-    target = np.concatenate((np.zeros_like(lonely), dst[bad], dst[dup]))
-    at = np.lexsort((pos, kind, state))
-    templates = (
-        "state {}: no successor",
-        "state {}: edge target {} out of range",
-        "state {}: duplicate edge to {}",
-    )
-    return [
-        templates[k].format(v, w)
-        for v, k, w in zip(state[at].tolist(), kind[at].tolist(), target[at].tolist())
+    # A state without successor has no duplicates, so sorting the issues by
+    # (state, position in the list) keeps each state's issues together.
+    state = np.concatenate((lonely, src[dup]))
+    pos = np.concatenate((np.zeros_like(lonely), dup))
+    issues = [f"state {v}: no successor" for v in lonely.tolist()]
+    issues += [
+        f"state {v}: duplicate edge to {w}"
+        for v, w in zip(src[dup].tolist(), dst[dup].tolist())
     ]
+    return [issues[i] for i in np.lexsort((pos, state)).tolist()]
 
 
 _SECTIONS = ("states", "owner", "edge", "label")

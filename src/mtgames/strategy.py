@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BoundExceeded, GameParseError, NonExhaustiveModes
 from .game import PLAYER0, GameGraph
@@ -71,67 +70,62 @@ def extract_strategy(game: GameGraph, spec: MTSpec, result: MTSolveResult) -> St
     if result.winning.universe != game.n:
         raise ValueError("result does not belong to this game graph")
     bound = result.bound
-    winning = result.winning
-    win_bits = winning.bits
+    win, p0 = result.winning.bits, game.is_player0_mask
     mode_idx = bound.mode_index_of()
 
-    unlabeled = win_bits & (mode_idx < 0)
+    unlabeled = win & (mode_idx < 0)
     if unlabeled.any():
         raise NonExhaustiveModes(
             f"{int(unlabeled.sum())} winning state(s) carry no mode; "
             "strategy extraction requires modes exhaustive over the winning set"
         )
 
-    persist_bits = [
-        [p.bits for p in row] for row in bound.persistence_sets
-    ]
+    def by_mode(states: np.ndarray) -> list[np.ndarray]:
+        """Positions in ``states`` grouped by the mode of their state."""
+        order = np.argsort(mode_idx[states], kind="stable")
+        modes = np.arange(1, len(result.trace))
+        return np.split(order, np.searchsorted(mode_idx[states[order]], modes))
 
-    choices: dict[int, int] = {}
-    for v in winning.indices():
-        v = int(v)
-        if game.owner(v) != PLAYER0:
-            continue
-        k = int(mode_idx[v])
-        tr = result.trace[k]
-        r = int(tr.y_rank[v])
-        if r < 1:
-            raise RuntimeError(
-                f"internal error: winning state {v} missing from mode {k} iterates"
-            )
-        succs = [int(w) for w in game.successors(v)]
+    # The states that need a choice, and their edges into the winning set.
+    owned = np.flatnonzero(win & p0)
+    src, dst = game.edge_arrays
+    keep = win[src] & p0[src] & win[dst]
+    s, d = src[keep], dst[keep]
+    rank = np.empty(owned.size, dtype=np.int64)  # outer rank in the own mode
+    key = np.empty(s.size, dtype=np.int64)  # the target's outer rank
+    tier = np.empty(s.size, dtype=np.int8)  # 0 progress, 1 stay, 2 neither
+    groups = zip(result.trace, bound.persistence_sets, by_mode(owned), by_mode(s))
+    for tr, persist, at, e in groups:
+        rank[at] = tr.y_rank[owned[at]]
+        v, w = s[e], d[e]
+        key[e] = rw = tr.y_rank[w]
+        # Progress edges lead into a strictly earlier outer iterate; stay
+        # edges remain in an inner fixed point of a target of the mode that
+        # holds v, at v's rank or earlier.
+        stay = np.zeros(e.size, dtype=bool)
+        for p, xr in zip(persist, tr.x_rank):
+            stay |= p.bits[v] & (0 <= xr[w]) & (xr[w] <= xr[v])
+        progress = (1 <= rw) & (rw < tr.y_rank[v])
+        tier[e] = np.where(progress, 0, np.where(stay, 1, 2))
 
-        # Progress edges: strictly earlier outer iterate.
-        best: tuple[int, int] | None = None
-        if r >= 2:
-            for w in succs:
-                rw = int(tr.y_rank[w])
-                if win_bits[w] and 1 <= rw < r:
-                    key = (rw, w)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            # Stay edges: remain in an inner fixed point of a target of
-            # mode k containing v, at v's rank or earlier.
-            for j in range(tr.target_count):
-                if not persist_bits[k][j][v]:
-                    continue
-                xr = tr.x_rank[j]
-                lv = int(xr[v])
-                if lv < 0:
-                    continue
-                for w in succs:
-                    lw = int(xr[w])
-                    if win_bits[w] and 0 <= lw <= lv:
-                        key = (int(tr.y_rank[w]), w)
-                        if best is None or key < best:
-                            best = key
-        if best is None:
+    # Per state, its least (tier, target rank, target) edge that qualifies.
+    ok = np.flatnonzero(tier < 2)
+    ok = ok[np.lexsort((d[ok], key[ok], tier[ok], s[ok]))]
+    chooser, first = np.unique(s[ok], return_index=True)
+    bad = np.flatnonzero((rank < 1) | ~np.isin(owned, chooser))
+    if bad.size:
+        v = int(owned[bad[0]])
+        if rank[bad[0]] < 1:
             raise RuntimeError(
-                f"internal error: no eligible successor for winning state {v}; "
-                "iterate trace inconsistent with winning set"
+                f"internal error: winning state {v} missing from mode "
+                f"{int(mode_idx[v])} iterates"
             )
-        choices[v] = best[1]
-    return Strategy(choices, winning_size=len(winning))
+        raise RuntimeError(
+            f"internal error: no eligible successor for winning state {v}; "
+            "iterate trace inconsistent with winning set"
+        )
+    choices = dict(zip(chooser.tolist(), d[ok][first].tolist()))
+    return Strategy(choices, winning_size=len(result.winning))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +214,9 @@ def check_strategy(
     target-avoiding cycle exactly when it has a state outside each
     target.
     """
+    # Imported here, so that the other commands skip its 0.08-0.11 s import.
+    from scipy.sparse.csgraph import connected_components
+
     if game.n > max_states:
         raise BoundExceeded(
             f"graph has {game.n} states, exceeding the checker bound {max_states}"

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from mtgames.errors import BoundExceeded
+from mtgames.errors import BoundExceeded, NonExhaustiveModes
 from mtgames.game import PLAYER0, PLAYER1, GameGraph
 from mtgames.sets import StateSet
 from mtgames.specs import ModeSpec, MTSpec, bind_spec, lasso_satisfies
@@ -452,3 +452,119 @@ def _stitch_cycle_loop(
         walk.extend(seg[1:])
         cur = nxt
     return walk[:-1]
+
+
+# ---------------------------------------------------------------------------
+# Strategy extraction as it was before it worked on edge arrays
+
+
+def extraction_case(seed: int) -> tuple[GameGraph, MTSpec, bool]:
+    """A seeded (game, spec, warm) for comparing strategy extractions.
+
+    Every 20th seed is an 8x8 cleaning robot with 1-3 rooms and up to 5
+    obstacles; the others are random games of 2-300 states (log-uniform)
+    with 1-4 modes of 1-3 targets, every fourth one with alternating
+    owners. Odd seeds solve warm.
+    """
+    from mtgames.benchgen import (
+        RobotWorld,
+        gen_cleaning_robot,
+        gen_random_game,
+        scaled_rooms,
+    )
+
+    rng = np.random.default_rng(seed)
+    if seed % 20 == 19:
+        rooms = scaled_rooms(8, 8, 1 + seed // 20 % 3)
+        obstacles = int(rng.integers(0, 6))
+        game, spec = gen_cleaning_robot(RobotWorld(8, 8, rooms, seed, obstacles))
+    else:
+        n = int(np.exp(rng.uniform(np.log(2), np.log(300))))
+        m = int(rng.integers(1, min(n, 4) + 1))
+        targets = rng.integers(1, 4, size=m).tolist()
+        density = float(rng.uniform(1.0, 3.0))
+        game, spec = gen_random_game(
+            n, m, targets, density, seed, alternate_owners=seed % 4 == 1
+        )
+    return game, spec, seed % 2 == 1
+
+
+def extract_strategy_loop(game: GameGraph, spec: MTSpec, result) -> Strategy:
+    """The extraction as it was before it worked on edge arrays, kept as
+    an oracle: it walks the winning Player-0 states one at a time.
+
+    Memoryless winning strategy from a recorded direct-solver result.
+
+    Requires modes to be exhaustive over the winning set (every winning
+    state must know its mode) and a result that carries a trace, i.e.
+    one produced by the direct algorithm with recording enabled.
+    """
+    if result.algo != "mt" or result.trace is None:
+        raise ValueError(
+            "strategy extraction requires a direct-solver result with a "
+            "recorded iterate trace (--algo mt, recording enabled)"
+        )
+    if result.winning.universe != game.n:
+        raise ValueError("result does not belong to this game graph")
+    bound = result.bound
+    winning = result.winning
+    win_bits = winning.bits
+    mode_idx = bound.mode_index_of()
+
+    unlabeled = win_bits & (mode_idx < 0)
+    if unlabeled.any():
+        raise NonExhaustiveModes(
+            f"{int(unlabeled.sum())} winning state(s) carry no mode; "
+            "strategy extraction requires modes exhaustive over the winning set"
+        )
+
+    persist_bits = [
+        [p.bits for p in row] for row in bound.persistence_sets
+    ]
+
+    choices: dict[int, int] = {}
+    for v in winning.indices():
+        v = int(v)
+        if game.owner(v) != PLAYER0:
+            continue
+        k = int(mode_idx[v])
+        tr = result.trace[k]
+        r = int(tr.y_rank[v])
+        if r < 1:
+            raise RuntimeError(
+                f"internal error: winning state {v} missing from mode {k} iterates"
+            )
+        succs = [int(w) for w in game.successors(v)]
+
+        # Progress edges: strictly earlier outer iterate.
+        best: tuple[int, int] | None = None
+        if r >= 2:
+            for w in succs:
+                rw = int(tr.y_rank[w])
+                if win_bits[w] and 1 <= rw < r:
+                    key = (rw, w)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            # Stay edges: remain in an inner fixed point of a target of
+            # mode k containing v, at v's rank or earlier.
+            for j in range(tr.target_count):
+                if not persist_bits[k][j][v]:
+                    continue
+                xr = tr.x_rank[j]
+                lv = int(xr[v])
+                if lv < 0:
+                    continue
+                for w in succs:
+                    lw = int(xr[w])
+                    if win_bits[w] and 0 <= lw <= lv:
+                        key = (int(tr.y_rank[w]), w)
+                        if best is None or key < best:
+                            best = key
+        if best is None:
+            raise RuntimeError(
+                f"internal error: no eligible successor for winning state {v}; "
+                "iterate trace inconsistent with winning set"
+            )
+        choices[v] = best[1]
+    return Strategy(choices, winning_size=len(winning))

@@ -698,6 +698,22 @@ def test_module_entry_point(g1_files):
     assert "winning_size=2" in proc.stdout
 
 
+def test_cli_import_leaves_out_the_checker_graph_library():
+    # Only check_strategy needs scipy.sparse.csgraph; solve, compare and the
+    # generators should not pay for importing it.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    code = "import sys, mtgames.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in mtgames.__all__ if not hasattr(mtgames, name)]
     assert missing == []

@@ -224,6 +224,46 @@ def test_final_round_iterates_close_on_winning_set():
             assert np.array_equal(tr.y_rank >= 1, out.winning.bits)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_traces_are_built_only_in_rounds_that_leave_z_unchanged(monkeypatch, warm):
+    from mtgames.benchgen import gen_random_game
+
+    built = []
+    original = ModeTrace.from_iterates
+
+    def counted(y_iterates, x_iterates, target_count):
+        built.append(target_count)
+        return original(y_iterates, x_iterates, target_count)
+
+    monkeypatch.setattr(ModeTrace, "from_iterates", counted)
+    game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0)
+    persist, exits = _bound_parts(game, spec)
+    out = solve_stable_conjunction(game, persist, exits, warm=warm, record=True)
+    assert out.stats.outer_iterations >= 3
+    assert len(persist) <= len(built) < len(persist) * out.stats.outer_iterations
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_kept_traces_match_a_fresh_run_against_the_winning_set(warm):
+    from mtgames.benchgen import gen_random_game
+
+    for seed in range(6):
+        game, spec = gen_random_game(60, 3, [2, 1, 2], 2.0, seed)
+        persist, exits = _bound_parts(game, spec)
+        out = solve_stable_conjunction(game, persist, exits, warm=warm, record=True)
+        pre_z = FixpointEngine(game).pre(out.winning)
+        for i, tr in enumerate(out.traces):
+            res = solve_persistence_reach(
+                FixpointEngine(game), persist[i], exits[i] & pre_z, record=True
+            )
+            fresh = ModeTrace.from_iterates(
+                res.y_iterates, res.x_iterates, len(persist[i])
+            )
+            assert np.array_equal(tr.y_rank, fresh.y_rank), (seed, i)
+            for xr, fresh_xr in zip(tr.x_rank, fresh.x_rank, strict=True):
+                assert np.array_equal(xr, fresh_xr), (seed, i)
+
+
 def test_driver_warm_matches_cold():
     from mtgames.benchgen import gen_random_game
 

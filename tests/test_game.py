@@ -221,9 +221,15 @@ def test_validate_totality():
 
 
 def test_validate_dangling_target():
-    g = GameGraph(2, [0, 0], [(0, 5), (1, 0)])
-    issues = validate_graph(g)
-    assert issues == ["state 0: edge target 5 out of range"]
+    # Out-of-range targets are rejected when the graph is built, so
+    # validate_graph never sees one.
+    for target in (-1, 2, 5):
+        with pytest.raises(ValueError, match="edge target out of range"):
+            GameGraph(2, [0, 0], [(0, target), (1, 0)])
+    # A -1 target would let check_strategy pass a claim in which state 0
+    # has no move, because the checker marks "no choice" with -1 as well.
+    with pytest.raises(ValueError, match="edge target out of range"):
+        GameGraph(3, [0, 0, 0], [(0, -1), (1, 1), (2, 2)], {"M": [1], "T": [1]})
 
 
 def test_validate_duplicate_edge():
@@ -235,27 +241,40 @@ def test_validate_duplicate_edge():
 
 
 def test_validate_orders_issues_by_state_kind_and_position():
-    src = np.array([2, 0, 2, 2, 2, 2])
-    dst = np.array([7, 1, 0, 7, 0, -1])
-    assert _edge_issues(3, src, dst) == [
+    src = np.array([2, 0, 2, 2, 2, 2, 0])
+    dst = np.array([3, 1, 0, 3, 0, 3, 1])
+    expected = [
+        "state 0: duplicate edge to 1",
         "state 1: no successor",
-        "state 2: edge target 7 out of range",
-        "state 2: edge target 7 out of range",
-        "state 2: edge target -1 out of range",
-        "state 2: duplicate edge to 7",
+        "state 2: duplicate edge to 3",
         "state 2: duplicate edge to 0",
+        "state 2: duplicate edge to 3",
+        "state 3: no successor",
     ]
+    assert _edge_issues(4, src, dst) == expected
+    assert helpers.validate_graph_loop(4, src, dst) == expected
+    # The list of the same shape with out-of-range targets cannot be built.
+    for bad in (7, -1):
+        with pytest.raises(ValueError, match="edge target out of range"):
+            GameGraph(4, [0] * 4, (src, np.where(dst == 3, bad, dst)))
 
 
 def test_validate_and_canonical_form_match_loop_oracles():
     kinds = set()
+    rejected = 0
     for seed in range(400):
         n, owners, src, dst = helpers.random_raw_edges(seed)
+        inside = (dst >= 0) & (dst < n)
+        if not inside.all():
+            rejected += 1
+            with pytest.raises(ValueError, match="edge target out of range"):
+                GameGraph(n, owners, (src, dst))
+        src, dst = src[inside], dst[inside]
         issues = _edge_issues(n, src, dst)
         assert issues == helpers.validate_graph_loop(n, src, dst), f"seed {seed}"
         kinds.update(
             kind
-            for kind in ("no successor", "out of range", "duplicate")
+            for kind in ("no successor", "duplicate")
             for msg in issues
             if kind in msg
         )
@@ -267,7 +286,8 @@ def test_validate_and_canonical_form_match_loop_oracles():
         assert validate_graph(canon) == helpers.validate_graph_loop(
             n, canon_src, indices
         ), f"seed {seed}"
-    assert kinds == {"no successor", "out of range", "duplicate"}
+    assert kinds == {"no successor", "duplicate"}
+    assert rejected >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +362,8 @@ def test_serialize_is_canonical_fixed_point():
         ("states 1\nowner 0 0\nedge 0\n", "expected 'edge <from> <to>'"),
         ("states 1\nowner 0 0\nedge 5 0\n", "edge source 5 out of range"),
         ("states 1\nowner 0 0\nedge 0 5\n", "edge target 5 out of range"),
+        ("states 1\nowner 0 0\nedge 0 -1\n", "edge target -1 out of range"),
+        ("states 1\nowner 0 0\nedge 0 1\n", "edge target 1 out of range"),
         ("states 1\nowner 0 0\nedge 0 0\nlabel 0\n", "expected 'label"),
         ("states 1\nowner 0 0\nedge 0 0\nlabel 0 9bad\n", "invalid proposition"),
         ("states 1\nowner 0 0\nedge 0 0\nlabel 5 P\n", "state 5 out of range"),

@@ -3,6 +3,9 @@ oracle, and the strategy/winning-set file formats."""
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
 
 import helpers
@@ -150,6 +153,71 @@ def test_extract_deterministic():
     r1 = solve_mt(game, spec)
     r2 = solve_mt(game, spec)
     assert extract_strategy(game, spec, r1) == extract_strategy(game, spec, r2)
+
+
+def test_extract_matches_loop_extraction_on_seeded_corpus():
+    seen = {"warm": 0, "robot": 0, "alternating": 0, "progress": 0, "stay": 0}
+    for seed in range(1500):
+        game, spec, warm = helpers.extraction_case(seed)
+        result = solve_mt(game, spec, SolveOptions(warm=warm))
+        strat = extract_strategy(game, spec, result)
+        expected = helpers.extract_strategy_loop(game, spec, result)
+        assert strat == expected, f"seed {seed}"
+        seen["warm"] += warm
+        seen["robot"] += seed % 20 == 19
+        seen["alternating"] += seed % 4 == 1
+        mode_idx = result.bound.mode_index_of()
+        for v, w in strat.choices.items():
+            y_rank = result.trace[mode_idx[v]].y_rank
+            seen["progress" if 1 <= y_rank[w] < y_rank[v] else "stay"] += 1
+    assert min(seen.values()) >= 75, seen
+
+
+def test_extract_matches_loop_extraction_on_the_five_room_robot():
+    from mtgames.benchgen import RobotWorld, gen_cleaning_robot, scaled_rooms
+
+    game, spec = gen_cleaning_robot(RobotWorld(16, 16, scaled_rooms(16, 16, 5)))
+    result = solve_mt(game, spec)
+    strat = extract_strategy(game, spec, result)
+    assert len(strat.choices) == 7936
+    assert strat == helpers.extract_strategy_loop(game, spec, result)
+
+
+def test_extract_corrupted_traces_raise_the_loop_extraction_errors():
+    def drop_rank(v):
+        def edit(traces):
+            for tr in traces:
+                tr.y_rank[v] = -1
+
+        return edit
+
+    def collapse(traces):
+        # No outer rank below 1 and no inner rank: no edge qualifies.
+        for tr in traces:
+            tr.y_rank[tr.y_rank >= 1] = 1
+            for xr in tr.x_rank:
+                xr[:] = -1
+
+    messages = []
+    for seed in range(40):
+        game, spec, warm = helpers.extraction_case(seed)
+        result = solve_mt(game, spec, SolveOptions(warm=warm))
+        owned = np.flatnonzero(result.winning.bits & game.is_player0_mask)
+        if not owned.size:
+            continue
+        v = int(owned[seed % owned.size])
+        for edits in ((drop_rank(v),), (collapse,), (collapse, drop_rank(v))):
+            bad = copy.deepcopy(result)
+            for edit in edits:
+                edit(bad.trace)
+            with pytest.raises(RuntimeError) as got:
+                extract_strategy(game, spec, bad)
+            with pytest.raises(RuntimeError) as expected:
+                helpers.extract_strategy_loop(game, spec, bad)
+            assert str(got.value) == str(expected.value), f"seed {seed}"
+            messages.append(str(got.value))
+    assert sum("missing from mode" in m for m in messages) >= 20
+    assert sum("no eligible successor" in m for m in messages) >= 20
 
 
 # ---------------------------------------------------------------------------
