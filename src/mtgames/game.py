@@ -24,12 +24,15 @@ Sections appear in that order. Proposition names match
 from __future__ import annotations
 
 import re
+import string
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import tokens
 from .errors import BoundExceeded, GameParseError, ValidationError
 from .sets import StateSet
 
@@ -45,6 +48,9 @@ MAX_STATES = 10_000_000
 # Largest expected edge count (states times density) the random
 # generators accept, checked before any array is drawn.
 MAX_EDGES = 10 * MAX_STATES
+# Longest proposition name the array reader of load_game takes; a file
+# with a longer one goes through the line parser.
+_MAX_NAME_BYTES = 32
 
 
 class GameGraph:
@@ -107,7 +113,11 @@ class GameGraph:
                 if not PROP_NAME_RE.match(name):
                     raise ValueError(f"invalid proposition name {name!r}")
                 mask = np.zeros(n, dtype=bool)
-                idx = np.fromiter(states, dtype=np.int64)
+                idx = (
+                    states.astype(np.int64)
+                    if isinstance(states, np.ndarray)
+                    else np.fromiter(states, dtype=np.int64)
+                )
                 if idx.size:
                     if idx.min() < 0 or idx.max() >= n:
                         raise ValueError(f"label state out of range for {name!r}")
@@ -270,6 +280,10 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
     """The edges' stable order by (source, target), and for each position
     of that order whether its edge repeats the one before, i.e. is a
     later copy of an edge."""
+    # Files in serialize_game's shape list the edges in this order already.
+    ahead = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
+    if ahead.all():
+        return np.arange(src.size), np.zeros(src.size, dtype=bool)
     order = np.lexsort((dst, src))
     s, d = src[order], dst[order]
     again = np.zeros(order.size, dtype=bool)
@@ -340,7 +354,104 @@ def load_game(text: str) -> GameGraph:
     input, :class:`BoundExceeded` for more than ``MAX_STATES`` states, and
     :class:`ValidationError` listing structural issues (totality,
     duplicate edges).
+
+    Text in :func:`serialize_game`'s shape is read as arrays; any other
+    text, and every file that fails a check, goes through the line
+    parser, which gives the same graph or words the error.
     """
+    game = _load_arrays(text)
+    return game if game is not None else _load_game_lines(text)
+
+
+def _load_arrays(text: str) -> GameGraph | None:
+    """The graph of a valid game file in :func:`serialize_game`'s shape:
+    a ``states`` line, n ``owner`` lines, the ``edge`` lines and then the
+    ``label`` lines, with 1 to 8 digit integers. None for any other text,
+    and for a file the line parser would reject."""
+    tok = tokens.split(text)
+    head = None if tok is None else tok.fields(slice(0, 1), b"states", 1)
+    if head is None or head[0, 0] > MAX_STATES or head[0, 0] >= tok.per_line.size:
+        return None
+    n = int(head[0, 0])
+    first = tok.first[1:-1]
+    m = int(np.count_nonzero(tok.buf[tok.start[first[n:]]] == ord("e")))
+    owners = tok.fields(slice(1, n + 1), b"owner", 2)
+    edges = tok.fields(slice(n + 1, n + 1 + m), b"edge", 2)
+    labels = first[n + m :]
+    if (
+        owners is None
+        or edges is None
+        or np.any(tok.per_line[n + 1 + m :] < 3)
+        or not tok.are(labels, b"label")
+    ):
+        return None
+    label_state = tok.ints(labels + 1)
+    (state, owner), (src, dst) = owners.T, edges.T
+    if label_state is None or any(np.any(a >= n) for a in (state, edges, label_state)):
+        return None
+    owned = np.zeros(n, dtype=bool)
+    owned[state] = True
+    if not owned.all() or np.any(owner > PLAYER1):
+        return None
+    owner_of = np.empty(n, dtype=np.int8)
+    owner_of[state] = owner
+    props = _label_arrays(tok, labels, label_state)
+    if props is None:
+        return None
+    game = GameGraph(n, owner_of, (src, dst), props)
+    # The line parser rejects duplicate edges and states without successor.
+    if game.num_edges != m or not game._outdeg.all():
+        return None
+    return game
+
+
+# The bytes a label section may hold: those of names and states, spaces
+# and newlines.
+_LABEL_BYTE = np.zeros(256, dtype=bool)
+_LABEL_BYTE[np.frombuffer(f"_ \n{string.ascii_letters}{string.digits}".encode(), np.uint8)] = True
+
+
+def _label_arrays(
+    tok: tokens.Tokens, first: np.ndarray, state: np.ndarray
+) -> dict[str, np.ndarray] | None:
+    """Proposition name to labelled states, in order of first mention, of
+    the label lines that open at tokens ``first`` and label ``state``;
+    None if a name is not a proposition name."""
+    if not first.size:
+        return {}
+    at = tok.start[first[0]]
+    body = tok.buf[at:]
+    if not np.all(_LABEL_BYTE[body]):
+        return None
+    # The names are each label line's tokens from the third on; none may
+    # open with a digit, the only name bytes at or below "9".
+    is_name = np.ones(tok.start.size - first[0], dtype=bool)
+    is_name[first - first[0]] = is_name[first + 1 - first[0]] = False
+    name_tok = np.flatnonzero(is_name) + first[0]
+    name_at, length = tok.start[name_tok] - at, tok.length[name_tok]
+    if np.any(body[name_at] <= ord("9")):
+        return None
+    # Each name as a fixed-width byte string, so that one sort numbers the
+    # distinct names.
+    width = int(length.max())
+    if width > _MAX_NAME_BYTES:
+        return None
+    padded = np.concatenate((body, np.zeros(width, dtype=np.uint8)))
+    window = sliding_window_view(padded, width)[name_at]
+    key = np.where(np.arange(width) < length[:, None], window, 0).view(f"S{width}")[:, 0]
+    distinct, mention, code = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(mention)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    code = rank[code]
+    names = [distinct[i].decode("ascii") for i in order.tolist()]
+    line = np.repeat(np.arange(first.size), np.diff(first, append=tok.start.size) - 2)
+    labelled = state[line[np.argsort(code, kind="stable")]]
+    return dict(zip(names, np.split(labelled, np.cumsum(np.bincount(code))[:-1])))
+
+
+def _load_game_lines(text: str) -> GameGraph:
+    """:func:`load_game` for any text, one line at a time."""
     n: int | None = None
     owners: list[int | None] = []
     edges: list[tuple[int, int]] = []

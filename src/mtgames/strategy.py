@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from . import tokens
 from .errors import BoundExceeded, GameParseError, NonExhaustiveModes
 from .game import PLAYER0, GameGraph
 from .sets import StateSet
@@ -32,9 +33,9 @@ from .solver import MTSolveResult
 from .specs import LassoWord, MTSpec, bind_spec, lasso_satisfies
 
 
-# Default state bound of check_strategy. A `check` run costs 12-17 us a
+# Default state bound of check_strategy. A `check` run costs 2-3 us a
 # state after start-up on a 2-core x86-64 VM, most of it loading the game
-# (0.27 s for the 15872-state five-room robot, 1.2 s for a 100000-state
+# (0.044 s for the 15872-state five-room robot, 0.19 s for a 100000-state
 # random game).
 CHECK_MAX_STATES = 100_000
 
@@ -403,6 +404,10 @@ def enumerate_memoryless_winning(
 
 _MOVE_RE = re.compile(r"move\s+(\d+)\s+(\d+)\s*$")
 _HEADER_RE = re.compile(r"#\s*winning\s+(\d+)\s+states\s*$")
+# The header lines as format_strategy and format_winning write them, which
+# the array readers require.
+_WRITTEN_STRATEGY_HEAD = re.compile(r"# winning ([0-9]{1,8}) states")
+_WRITTEN_WINNING_HEAD = re.compile(r"# [0-9]+ states")
 
 
 def format_strategy(strategy: Strategy) -> str:
@@ -415,7 +420,23 @@ def format_strategy(strategy: Strategy) -> str:
 
 
 def parse_strategy(text: str, n: int | None = None) -> Strategy:
-    """Read a strategy file; with ``n``, reject moves for states >= n."""
+    """Read a strategy file; with ``n``, reject moves for states >= n.
+
+    A file in :func:`format_strategy`'s shape is read as arrays, any other
+    through the line parser, which also words every error.
+    """
+    tok = tokens.split(text)
+    head = tok and _WRITTEN_STRATEGY_HEAD.fullmatch(text[: text.find("\n")])
+    moves = tok.fields(slice(1, None), b"move", 2) if head else None
+    if moves is not None:
+        state, choice = moves.T
+        if (n is None or not np.any(state >= n)) and np.unique(state).size == state.size:
+            return Strategy(dict(zip(state.tolist(), choice.tolist())), int(head[1]))
+    return _parse_strategy_lines(text, n)
+
+
+def _parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
+    """:func:`parse_strategy` for any text, one line at a time."""
     choices: dict[int, int] = {}
     winning_size = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -446,6 +467,23 @@ def format_winning(winning: StateSet) -> str:
 
 
 def parse_winning(text: str, n: int) -> StateSet:
+    """Read a winning-set file of states below ``n``.
+
+    A file in :func:`format_winning`'s shape is read as arrays, any other
+    through the line parser, which also words every error.
+    """
+    tok = tokens.split(text)
+    head = tok and _WRITTEN_WINNING_HEAD.fullmatch(text[: text.find("\n")])
+    states = tok.fields(slice(1, None), b"", 1) if head else None
+    if states is not None and not np.any(states >= n):
+        mask = np.zeros(n, dtype=bool)
+        mask[states.ravel()] = True
+        return StateSet.from_mask(mask)
+    return _parse_winning_lines(text, n)
+
+
+def _parse_winning_lines(text: str, n: int) -> StateSet:
+    """:func:`parse_winning` for any text, one line at a time."""
     members = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
