@@ -8,6 +8,7 @@ parameters (fixed RNG streams), so benchmark CSVs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +42,8 @@ def scaled_rooms(width: int, height: int, k: int) -> list[tuple[int, int, int, i
     Continuous coordinates map to cells by scaling the frame onto the
     grid and truncating: cell = floor((coord - origin) * size / span),
     clamped to the grid. Boxes are inclusive cell rectangles
-    (col0, row0, col1, row1).
+    (col0, row0, col1, row1). Raises :class:`ValidationError` when the grid
+    is too small to keep the boxes disjoint.
     """
     if not 1 <= k <= len(ROOM_BOXES):
         raise ValidationError(
@@ -56,7 +58,22 @@ def scaled_rooms(width: int, height: int, k: int) -> list[tuple[int, int, int, i
         c1 = min(c1, width - 1)
         r1 = min(r1, height - 1)
         out.append((c0, r0, max(c0, c1), max(r0, r1)))
+    if _overlapping(out) is not None:
+        raise ValidationError(
+            f"grid {width}x{height} is too small for {k} built-in rooms; supply boxes"
+        )
     return out
+
+
+def _overlapping(rooms: list[tuple[int, int, int, int]]) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, of boxes in ``rooms`` that share a
+    cell, or None."""
+    for a, b in itertools.combinations(range(len(rooms)), 2):
+        ac0, ar0, ac1, ar1 = rooms[a]
+        bc0, br0, bc1, br1 = rooms[b]
+        if ac0 <= bc1 and bc0 <= ac1 and ar0 <= br1 and br0 <= ar1:
+            return a, b
+    return None
 
 
 @dataclass
@@ -83,12 +100,9 @@ class RobotWorld:
         for idx, (c0, r0, c1, r1) in enumerate(self.rooms):
             if not (0 <= c0 <= c1 < self.width and 0 <= r0 <= r1 < self.height):
                 raise ValidationError(f"room {idx + 1} out of grid bounds")
-        for a in range(k):
-            for b in range(a + 1, k):
-                ac0, ar0, ac1, ar1 = self.rooms[a]
-                bc0, br0, bc1, br1 = self.rooms[b]
-                if ac0 <= bc1 and bc0 <= ac1 and ar0 <= br1 and br0 <= ar1:
-                    raise ValidationError(f"rooms {a + 1} and {b + 1} overlap")
+        pair = _overlapping(self.rooms)
+        if pair is not None:
+            raise ValidationError(f"rooms {pair[0] + 1} and {pair[1] + 1} overlap")
         if self.obstacles < 0:
             raise ValidationError("obstacle count must be nonnegative")
 

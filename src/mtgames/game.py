@@ -6,6 +6,13 @@ environment). Every state carries a successor list and a set of atomic
 propositions. Solvers require totality: each state has at least one
 successor, so plays never get stuck.
 
+The successor lists are kept as CSR arrays (``indptr`` and ``indices``,
+int32 while the edge count fits, int64 beyond). Pre counts each state's
+successors inside a set with scipy's compiled CSR matrix-vector kernel,
+called on those arrays directly. A :class:`RowSlice` holds the same
+arrays for the rows of a state set, as plain index arrays, so that Pre
+inside that set reads its rows alone.
+
 The text format round-tripped by :func:`load_game` / :func:`serialize_game`::
 
     # comment
@@ -29,8 +36,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import tokens
 from .errors import BoundExceeded, GameParseError, ValidationError
@@ -51,6 +58,8 @@ MAX_EDGES = 10 * MAX_STATES
 # Longest proposition name the array reader of load_game takes; a file
 # with a longer one goes through the line parser.
 _MAX_NAME_BYTES = 32
+# Most edges a graph indexes with int32; a graph with more uses int64.
+_MAX_INT32_EDGES = np.iinfo(np.int32).max
 
 
 class GameGraph:
@@ -97,12 +106,18 @@ class GameGraph:
         order, again = _sorted_edges(src, dst)
         order = order[~again]
         src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        self._src, self._dst = src, dst
+        # The Pre kernel's CSR arrays. It wants indptr and indices in one
+        # dtype, or it converts them on every call; the edge arrays stay
+        # int64, which numpy indexes with no conversion.
+        index = np.int32 if src.size <= _MAX_INT32_EDGES else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
-        self._src = src
-        self._indices = dst
-        for arr in (indptr, src, dst):
+        self._indices = dst.astype(index, copy=False)
+        # The kernel's matrix entries: every edge counts one.
+        self._ones = np.ones(src.size, dtype=np.int32)
+        for arr in (src, dst, indptr, self._indices, self._ones):
             arr.flags.writeable = False
 
         self._prop_names: tuple[str, ...] = ()
@@ -129,7 +144,6 @@ class GameGraph:
                 raise ValueError("duplicate proposition name")
             self._prop_names = tuple(names)
 
-        self._csr: sp.csr_matrix | None = None
         self._outdeg = np.diff(self._indptr)
         self._is_p0 = self._owner == PLAYER0
         self._is_p0.flags.writeable = False
@@ -151,7 +165,7 @@ class GameGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (sources, targets) of every edge, sorted by source and
         then target: the successor lists laid end to end."""
-        return self._src, self._indices
+        return self._src, self._dst
 
     @property
     def props(self) -> tuple[str, ...]:
@@ -165,7 +179,7 @@ class GameGraph:
         return int(self._owner[v])
 
     def successors(self, v: int) -> np.ndarray:
-        return self._indices[self._indptr[v] : self._indptr[v + 1]]
+        return self._dst[self._indptr[v] : self._indptr[v + 1]]
 
     def out_degree(self, v: int) -> int:
         return int(self._outdeg[v])
@@ -190,18 +204,27 @@ class GameGraph:
             name for name, mask in zip(self._prop_names, self._prop_masks) if mask[v]
         )
 
-    def _matrix(self) -> sp.csr_matrix:
-        if self._csr is None:
-            data = np.ones(self._indices.size, dtype=np.int32)
-            self._csr = sp.csr_matrix(
-                (data, self._indices.astype(np.int32), self._indptr),
-                shape=(self._n, self._n),
-            )
-        return self._csr
+    def _counts(
+        self, indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """For each row of the CSR rows ``indptr``/``indices`` (the whole
+        graph's, or a row slice's), how many of its successors the length-n
+        boolean mask holds, as int32."""
+        # scipy's compiled CSR kernel, called on the graph's own arrays: at
+        # n≈600 the dispatch of csr_matrix.__matmul__ (checks, dtype
+        # resolution, allocation) is most of a Pre. Every array passed shares
+        # a dtype with its peers, so the kernel converts none of them. It
+        # checks no bounds, so the mask's length is checked here.
+        if mask.shape != (self._n,):
+            raise ValueError(f"mask of shape {mask.shape} for {self._n} states")
+        out = np.zeros(indptr.size - 1, dtype=np.int32)
+        data = self._ones[: indices.size]
+        csr_matvec(out.size, self._n, indptr, indices, data, mask.astype(np.int32), out)
+        return out
 
     def count_successors_in(self, mask: np.ndarray) -> np.ndarray:
         """Per-state count of successors inside the given boolean mask."""
-        return self._matrix() @ mask.astype(np.int32)
+        return self._counts(self._indptr, self._indices, mask)
 
     def pre_mask(self, mask: np.ndarray, within: RowSlice | None = None) -> np.ndarray:
         """Controllable predecessor of a length-n boolean mask, as a fresh
@@ -210,14 +233,23 @@ class GameGraph:
         if within is None:
             return self.count_successors_in(mask) > self._pre_floor
         out = np.zeros(self._n, dtype=bool)
-        out[within.rows] = within.matrix @ mask.astype(np.int32) > within.floor
+        counts = self._counts(within.indptr, within.indices, mask)
+        out[within.rows] = counts > within.floor
         return out
 
     def row_slice(self, mask: np.ndarray) -> RowSlice:
         """The successor rows and Pre floors of the states in a length-n
         boolean mask, for a Pre that is only wanted inside that mask."""
         rows = np.flatnonzero(mask)
-        return RowSlice(rows, self._matrix()[rows], self._pre_floor[rows])
+        degree = self._outdeg[rows]
+        indptr = np.zeros(rows.size + 1, dtype=self._indptr.dtype)
+        np.cumsum(degree, out=indptr[1:])
+        # Edge positions of the rows, laid end to end: each row's first edge
+        # in the graph, shifted by the row's start in the slice, plus a count
+        # (int64, which numpy indexes with no conversion).
+        shift = np.repeat(self._indptr[rows] - indptr[:-1], degree)
+        at = shift + np.arange(indptr[-1], dtype=np.int64)
+        return RowSlice(rows, indptr, self._indices[at], self._pre_floor[rows])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameGraph):
@@ -258,11 +290,13 @@ class GameGraph:
 
 @dataclass(frozen=True)
 class RowSlice:
-    """Rows of a graph's successor matrix and Pre floor, for the states
-    ``rows``; built by :meth:`GameGraph.row_slice`."""
+    """The successor lists and Pre floors of the states ``rows``, as CSR
+    rows ``indptr``/``indices`` in the graph's index dtype; built by
+    :meth:`GameGraph.row_slice`."""
 
     rows: np.ndarray
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
     floor: np.ndarray
 
 

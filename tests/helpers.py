@@ -63,7 +63,9 @@ def frozen(s: StateSet) -> frozenset[int]:
 
 
 def naive_pre(game: GameGraph, target: set[int]) -> set[int]:
-    """Controllable predecessor straight from its definition."""
+    """Controllable predecessor straight from its definition. A Player 1
+    state without successor is in it: all of its successors are in any
+    target."""
     out = set()
     for v in range(game.n):
         succ = [int(w) for w in game.successors(v)]
@@ -71,7 +73,7 @@ def naive_pre(game: GameGraph, target: set[int]) -> set[int]:
             if any(w in target for w in succ):
                 out.add(v)
         else:
-            if succ and all(w in target for w in succ):
+            if all(w in target for w in succ):
                 out.add(v)
     return out
 
@@ -165,9 +167,12 @@ def serialize_game_loop(game: GameGraph) -> str:
 
 def pre_where(game: GameGraph, target: StateSet) -> StateSet:
     """Controllable predecessor through one np.where over the successor
-    counts."""
-    cnt = game.count_successors_in(target.bits)
-    outdeg = np.diff(game._indptr)
+    counts, taken as a scipy sparse product over the graph's edge list."""
+    src, dst = game.edge_arrays
+    n = game.n
+    adj = csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
+    cnt = adj @ target.bits.astype(np.int64)
+    outdeg = np.bincount(src, minlength=n)
     return StateSet.from_mask(np.where(game.is_player0_mask, cnt > 0, cnt == outdeg))
 
 

@@ -50,6 +50,26 @@ def test_scaled_rooms_disjoint_and_in_bounds():
         assert world.room_count == 5
 
 
+def test_scaled_rooms_are_disjoint_or_word_the_grid_too_small():
+    # Truncation can merge boxes that the reference frame keeps apart; such
+    # a grid is refused by name, never handed on as overlapping rooms.
+    grids = [(s, s) for s in range(2, 41)] + [(6, 5), (16, 12), (40, 3), (3, 40)]
+    refused = 0
+    for width, height in grids:
+        for k in range(1, 6):
+            try:
+                rooms = scaled_rooms(width, height, k)
+            except ValidationError as exc:
+                assert str(exc) == (
+                    f"grid {width}x{height} is too small for {k} built-in rooms; "
+                    "supply boxes"
+                )
+                refused += 1
+                continue
+            assert RobotWorld(width, height, rooms).room_count == k
+    assert 0 < refused < len(grids) * 5
+
+
 def test_scaled_rooms_rejects_too_many():
     with pytest.raises(ValidationError, match="supply boxes"):
         scaled_rooms(16, 16, len(ROOM_BOXES) + 1)

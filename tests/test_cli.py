@@ -567,6 +567,20 @@ def test_gen_robot_custom_boxes(tmp_path, capsys):
     assert spec.mode_count == 3
 
 
+@pytest.mark.parametrize(
+    "grid, rooms, obstacles", [("10x10", 3, 0), ("6x5", 3, 0), ("6x6", 2, 3)]
+)
+def test_gen_robot_words_a_grid_too_small_for_the_rooms(
+    tmp_path, capsys, grid, rooms, obstacles
+):
+    argv = ["gen-robot", "--rooms", str(rooms), "--grid", grid,
+            "--obstacles", str(obstacles), "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"grid {grid} is too small for {rooms} built-in rooms" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_robot_cli_errors(tmp_path):
     out = str(tmp_path / "r")
     assert cli.main(["gen-robot", "--rooms", "2", "--grid", "bad", "--out", out]) == 2

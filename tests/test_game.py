@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import mtgames.game as game_mod
 from mtgames.errors import (
     BoundExceeded,
     GameParseError,
@@ -204,6 +205,69 @@ def test_restricted_pre_on_empty_graph():
     empty = StateSet.empty(0)
     assert restricted_pre(g, empty, empty) == empty
     assert pre(g, empty.bits, within=g.row_slice(empty.bits)).shape == (0,)
+
+
+def test_pre_counts_past_narrow_integers_and_on_rows_without_successor():
+    # Player 1 states 0 and 1 and Player 0 state 4 have 70 000, 200 and
+    # 70 000 successors, more than 8-bit and 16-bit counts hold; Player 0
+    # state 2 and Player 1 state 3 have none. The targets hold all, all but
+    # one, 20 000 or about half of the successors of 0 and 4.
+    n = 70_005
+    rest = np.arange(5, n)
+    heads = (np.zeros(n - 5, int), np.ones(200, int), np.full(n - 5, 4))
+    src = np.concatenate((*heads, rest))
+    dst = np.concatenate((rest, rest[:200], rest, rest))
+    owners = [1, 1, 0, 1, 0] + [v % 2 for v in range(5, n)]
+    g = helpers.build_game(n, owners, (src, dst))
+    assert [g.out_degree(v) for v in range(5)] == [n - 5, 200, 0, 0, n - 5]
+    full = StateSet.full(n)
+    targets = {
+        "all": (full, {0, 1, 3, 4}),
+        "all but a successor of 0, 1 and 4": (full - StateSet(n, [5]), {3, 4}),
+        "all but a successor of 0 and 4": (full - StateSet(n, [300]), {1, 3, 4}),
+        "20 000 successors of 0 and 4": (StateSet(n, range(5, 20_005)), {1, 3, 4}),
+        "half of the states": (helpers.random_subset(7, n), {3, 4}),
+    }
+    lonely = StateSet(n, [2, 3])
+    slices = [lonely, StateSet(n, range(5)), helpers.random_subset(8, n) | lonely]
+    for name, (target, head) in targets.items():
+        expected = helpers.pre_where(g, target)
+        assert set(expected) == helpers.naive_pre(g, set(target)), name
+        assert set(expected) & set(range(5)) == head, name
+        assert pre(g, target) == expected, name
+        for within in slices:
+            assert restricted_pre(g, target, within) == expected & within, name
+
+
+def test_pre_kernel_arrays_share_one_index_dtype(monkeypatch):
+    g = helpers.random_graph(3, n=9)
+    rows = g.row_slice(helpers.random_subset(4, 9).bits)
+    dtypes = {a.dtype for a in (g._indptr, g._indices, rows.indptr, rows.indices)}
+    assert dtypes == {np.dtype(np.int32)}
+    # The edge arrays stay int64: numpy indexes with int32 arrays slowly.
+    assert {a.dtype for a in g.edge_arrays} == {np.dtype(np.int64)}
+    # Past the int32 edge limit the graph indexes with int64 throughout, and
+    # Pre is unchanged.
+    monkeypatch.setattr(game_mod, "_MAX_INT32_EDGES", 0)
+    for seed in range(20):
+        g = helpers.random_graph(seed)
+        within = helpers.random_subset(seed + 100, g.n)
+        rows = g.row_slice(within.bits)
+        arrays = (g._indptr, g._indices, rows.indptr, rows.indices)
+        assert {a.dtype for a in arrays} == {np.dtype(np.int64)}
+        s = helpers.random_subset(seed, g.n)
+        expected = helpers.pre_where(g, s)
+        assert pre(g, s) == expected, f"seed {seed}"
+        assert pre(g, s, within=rows) == expected & within, f"seed {seed}"
+
+
+def test_pre_rejects_a_mask_of_the_wrong_length():
+    g = helpers.random_graph(5, n=6)
+    for bad in (np.zeros(5, bool), np.zeros(7, bool), np.zeros((6, 1), bool)):
+        with pytest.raises(ValueError, match="for 6 states"):
+            pre(g, bad)
+        with pytest.raises(ValueError, match="for 6 states"):
+            pre(g, bad, within=g.row_slice(np.ones(6, bool)))
 
 
 # ---------------------------------------------------------------------------
