@@ -58,7 +58,6 @@ from .specs import (
     MTSpec,
     BoundSpec,
     bind_spec,
-    format_mt_formula,
     format_spec_file,
     lasso_satisfies,
     parse_mt_formula,
@@ -114,7 +113,6 @@ __all__ = [
     "embed",
     "enumerate_memoryless_winning",
     "extract_strategy",
-    "format_mt_formula",
     "format_spec_file",
     "format_strategy",
     "format_winning",

@@ -108,9 +108,9 @@ def _read(path: str | Path) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     game = load_game(_read(args.game))
-    if args.ltl and args.spec:
+    if args.ltl is not None and args.spec:
         raise _Usage("provide either a spec file or --ltl, not both")
-    if args.ltl:
+    if args.ltl is not None:
         spec = parse_mt_formula(args.ltl)
     elif args.spec:
         spec = parse_spec_file(_read(args.spec))

@@ -38,39 +38,31 @@ class FixpointStats:
 
 class FixpointEngine:
     """Counts predecessor evaluations over one game graph, and keeps the
-    row slices of the persistence sets it is given."""
+    row slices of the persistence blocks it is given."""
 
     def __init__(self, game: GameGraph):
         self.game = game
         self.stats = FixpointStats()
-        self._empty = StateSet.empty(game.n)
-        self._full = StateSet.full(game.n)
-        # Row slices by the identity of their set, which is kept alive here
+        # Row slices by the identity of their block, which is kept alive here
         # so that its id cannot be reused.
-        self._slices: dict[int, tuple[StateSet, RowSlice]] = {}
-
-    @property
-    def empty(self) -> StateSet:
-        return self._empty
-
-    @property
-    def full(self) -> StateSet:
-        return self._full
+        self._slices: dict[int, tuple[np.ndarray, list[RowSlice]]] = {}
 
     def pre(
         self, s: StateSet | np.ndarray, within: RowSlice | None = None
     ) -> StateSet | np.ndarray:
-        """Counted Pre of a StateSet, or of a boolean mask as the loops
-        below pass it; the result has the same type. With ``within``, a
-        slice from :meth:`row_slice`, it is Pre inside that set only."""
+        """Counted Pre of a boolean mask, as the loops below pass it, or of
+        a StateSet; the result has the same type. With ``within``, a slice
+        from :meth:`row_slices`, it is Pre inside that set only."""
         self.stats.pre_count += 1
         return pre(self.game, s, within=within)
 
-    def row_slice(self, p: StateSet) -> RowSlice:
-        """The graph's row slice of ``p``, built once per set object."""
-        hit = self._slices.get(id(p))
+    def row_slices(self, block: np.ndarray) -> list[RowSlice]:
+        """The graph's row slice of each row of ``block``, built once per
+        block object."""
+        hit = self._slices.get(id(block))
         if hit is None:
-            hit = self._slices[id(p)] = (p, self.game.row_slice(p.bits))
+            slices = [self.game.row_slice(p) for p in block]
+            hit = self._slices[id(block)] = (block, slices)
         return hit[1]
 
     def gfp(
@@ -79,7 +71,7 @@ class FixpointEngine:
         seed: StateSet | None = None,
     ) -> StateSet:
         """Greatest fixed point; ``seed`` must lie above it."""
-        x = seed if seed is not None else self._full
+        x = seed if seed is not None else StateSet.full(self.game.n)
         while True:
             nxt = x & op(x)
             if nxt == x:
@@ -89,7 +81,7 @@ class FixpointEngine:
 
 @dataclass
 class PersistenceReachResult:
-    """Outcome of one persistence-or-reach computation.
+    """Outcome of one persistence-or-reach computation, as boolean masks.
 
     value:      the fixed point (states winning the one-mode objective).
     final_x:    per persistence set, the inner fixed point at the last
@@ -99,24 +91,27 @@ class PersistenceReachResult:
     x_iterates: per recorded rank l (0-based), per persistence set j, the
                 inner fixed point computed against Y_l; the next iterate
                 is the union of that row.
+
+    No mask here is changed after it is stored.
     """
 
-    value: StateSet
-    final_x: list[StateSet]
-    y_iterates: list[StateSet] | None = None
-    x_iterates: list[list[StateSet]] | None = None
+    value: np.ndarray
+    final_x: list[np.ndarray]
+    y_iterates: list[np.ndarray] | None = None
+    x_iterates: list[list[np.ndarray]] | None = None
 
 
 def solve_persistence_reach(
     engine: FixpointEngine,
-    persist_sets: Sequence[StateSet],
-    reach_set: StateSet | None = None,
+    persist_block: np.ndarray,
+    reach_mask: np.ndarray,
     *,
-    x_seeds: Sequence[StateSet] | None = None,
+    x_seeds: Sequence[np.ndarray] | None = None,
     record: bool = False,
 ) -> PersistenceReachResult:
     """States from which Player 0 forces: settle forever inside one of
-    the persistence sets, or reach the reach set.
+    the persistence sets (the rows of ``persist_block``, t x n), or reach
+    ``reach_mask``.
 
     Computed as a least fixed point over Y whose body takes, for every
     persistence set P, the greatest fixed point of
@@ -131,28 +126,28 @@ def solve_persistence_reach(
     ``x_seeds`` warm-starts the inner fixed points; each seed must
     dominate every inner fixed point of this run.
     """
-    # The loops run on the raw boolean masks; StateSets are made only for
-    # the result. An inner iterate never grows (it is intersected with its
-    # predecessor), so an unchanged size means an unchanged set. Pre(X) & P
-    # is evaluated on P's rows only.
-    reach = reach_set.bits if reach_set is not None else engine.empty.bits
-    seeds = [s.bits for s in x_seeds] if x_seeds is not None else None
-    masks = (*(p.bits for p in persist_sets), reach, *(seeds or ()))
-    if any(b.shape != (engine.game.n,) for b in masks):
+    # An inner iterate never grows (it is intersected with its predecessor),
+    # so an unchanged size means an unchanged set. Pre(X) & P is evaluated on
+    # P's rows only.
+    n = engine.game.n
+    seeds = x_seeds or ()
+    if persist_block.shape[1:] != (n,) or any(
+        b.shape != (n,) for b in (reach_mask, *seeds)
+    ):
         raise ValueError("set universe does not match game")
-    slices = [engine.row_slice(p) for p in persist_sets]
-    full = engine.full.bits
-    y = engine.empty.bits
-    y_iterates: list[StateSet] | None = [engine.empty] if record else None
-    x_iterates: list[list[StateSet]] | None = [] if record else None
+    slices = engine.row_slices(persist_block)
+    full = np.ones(n, dtype=bool)
+    y = np.zeros(n, dtype=bool)
+    y_iterates = [y] if record else None
+    x_iterates: list[list[np.ndarray]] | None = [] if record else None
 
     while True:
         base = engine.pre(y)
-        base |= reach
+        base |= reach_mask
         new_y = base.copy()
         x_row: list[np.ndarray] = []
         for j, rows in enumerate(slices):
-            x = seeds[j] if seeds is not None else full
+            x = seeds[j] if seeds else full
             size = np.count_nonzero(x)
             while True:
                 nxt = engine.pre(x, within=rows)
@@ -168,10 +163,9 @@ def solve_persistence_reach(
             break
         y = new_y
         if record:
-            y_iterates.append(StateSet._wrap(y))
-            x_iterates.append([StateSet._wrap(x) for x in x_row])
-    final_x = [StateSet._wrap(x) for x in x_row]
-    return PersistenceReachResult(StateSet._wrap(y), final_x, y_iterates, x_iterates)
+            y_iterates.append(y)
+            x_iterates.append(x_row)
+    return PersistenceReachResult(y, x_row, y_iterates, x_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +188,17 @@ class ModeTrace:
     @classmethod
     def from_iterates(
         cls,
-        y_iterates: list[StateSet],
-        x_iterates: list[list[StateSet]],
+        y_iterates: list[np.ndarray],
+        x_iterates: list[list[np.ndarray]],
         target_count: int,
     ) -> "ModeTrace":
-        n = y_iterates[0].universe
-        tr = cls(n, target_count)
+        tr = cls(y_iterates[0].shape[0], target_count)
         for rank in range(1, len(y_iterates)):
-            fresh = y_iterates[rank].bits & (tr.y_rank < 0)
+            fresh = y_iterates[rank] & (tr.y_rank < 0)
             tr.y_rank[fresh] = rank
         for rank, row in enumerate(x_iterates):
             for j, x in enumerate(row):
-                fresh = x.bits & (tr.x_rank[j] < 0)
+                fresh = x & (tr.x_rank[j] < 0)
                 tr.x_rank[j][fresh] = rank
         return tr
 
@@ -220,27 +213,28 @@ class ModeTrace:
 
 @dataclass
 class NestedSolveOutcome:
-    winning: StateSet
+    winning: np.ndarray
     stats: FixpointStats
     traces: list[ModeTrace] | None
 
 
 def solve_stable_conjunction(
     game: GameGraph,
-    persist_matrix: Sequence[Sequence[StateSet]],
-    exit_bases: Sequence[StateSet],
+    persist_blocks: Sequence[np.ndarray],
+    exit_masks: Sequence[np.ndarray],
     *,
     warm: bool = False,
     record: bool = False,
 ) -> NestedSolveOutcome:
     """Common driver for the nested greatest/least fixed-point solvers.
 
-    Computes the winning region of the conjunction over conjunct i of
-    "settle in one of persist_matrix[i], or visit exit_bases[i] at a
-    point from which the whole conjunction stays winnable". The outer
-    iteration is a plain downward Kleene chain from the full set; each
-    conjunct is evaluated against the same outer iterate, in
-    declaration order, so predecessor counts are deterministic.
+    Computes the winning mask of the conjunction over conjunct i of
+    "settle in one of the rows of persist_blocks[i], or visit
+    exit_masks[i] at a point from which the whole conjunction stays
+    winnable". The outer iteration is a plain downward Kleene chain from
+    the full set; each conjunct is evaluated against the same outer
+    iterate, in declaration order, so predecessor counts are
+    deterministic. Row slices are built once per block object.
 
     With ``warm`` the inner fixed points are seeded with their values
     from the previous outer round. Those values only shrink as the
@@ -254,36 +248,31 @@ def solve_stable_conjunction(
     """
     engine = FixpointEngine(game)
     stats = engine.stats
-    m = len(persist_matrix)
-    exits = [e.bits for e in exit_bases]
-    seeds: list[list[StateSet] | None] = [None] * m
+    m = len(persist_blocks)
+    seeds: list[list[np.ndarray] | None] = [None] * m
     traces: list[ModeTrace] | None = [None] * m if record else None
 
     t0 = time.perf_counter()
-    z = engine.full.bits
+    z = np.ones(game.n, dtype=bool)
     while True:
         stats.outer_iterations += 1
         pre_z = engine.pre(z)
         new_z = z.copy()
-        for i in range(m):
+        for i, block in enumerate(persist_blocks):
             res = solve_persistence_reach(
-                engine,
-                persist_matrix[i],
-                StateSet._wrap(exits[i] & pre_z),
-                x_seeds=seeds[i],
-                record=record,
+                engine, block, exit_masks[i] & pre_z, x_seeds=seeds[i], record=record
             )
             if warm:
                 seeds[i] = res.final_x
-            new_z &= res.value.bits
+            new_z &= res.value
             # Only a round that leaves Z unchanged is final; the traces of
             # any other round would be thrown away.
             if record and np.array_equal(new_z, z):
                 traces[i] = ModeTrace.from_iterates(
-                    res.y_iterates, res.x_iterates, len(persist_matrix[i])
+                    res.y_iterates, res.x_iterates, len(block)
                 )
         if np.array_equal(new_z, z):
             break
         z = new_z
     stats.wall_time_s = time.perf_counter() - t0
-    return NestedSolveOutcome(StateSet._wrap(z), stats, traces)
+    return NestedSolveOutcome(z, stats, traces)

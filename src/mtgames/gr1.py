@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .fixpoint import FixpointStats, solve_stable_conjunction
 from .game import GameGraph, validate_graph
@@ -52,14 +54,11 @@ def embed(game: GameGraph, spec: MTSpec) -> EmbeddedGR1:
     """
     bound = bind_spec(game, spec)
     require_exclusive(bound)
-    assumptions: list[StateSet] = []
-    for j in range(spec.max_targets):
-        hit = StateSet.empty(game.n)
-        for mode_set, targets in zip(bound.mode_sets, bound.target_sets):
-            if j < len(targets):
-                hit = hit | (mode_set & targets[j])
-        assumptions.append(~hit)
-    guarantees = [~ms for ms in bound.mode_sets]
+    hit = np.zeros((spec.max_targets, game.n), dtype=bool)
+    for i, targets in enumerate(bound.targets):
+        hit[: len(targets)] |= bound.persistence(i)
+    assumptions = [StateSet._wrap(a) for a in ~hit]
+    guarantees = [StateSet._wrap(g) for g in ~bound.modes]
     return EmbeddedGR1(assumptions, guarantees, bound)
 
 
@@ -87,12 +86,17 @@ def solve_gr1(
             raise ValidationError(
                 f"spec set universe {s.universe} does not match graph size {game.n}"
             )
-    persist_row = [~a for a in spec.assumptions]
-    persist_matrix = [persist_row for _ in spec.guarantees]
-    outcome = solve_stable_conjunction(
-        game, persist_matrix, list(spec.guarantees), warm=warm
+    # One block object for every guarantee, so its row slices are built once.
+    avoid = ~np.array([a.bits for a in spec.assumptions], dtype=bool).reshape(
+        len(spec.assumptions), game.n
     )
-    return GR1SolveResult(outcome.winning, outcome.stats)
+    outcome = solve_stable_conjunction(
+        game,
+        [avoid] * len(spec.guarantees),
+        [g.bits for g in spec.guarantees],
+        warm=warm,
+    )
+    return GR1SolveResult(StateSet._wrap(outcome.winning), outcome.stats)
 
 
 def solve_gr1_emb(

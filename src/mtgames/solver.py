@@ -61,16 +61,15 @@ def solve_mt(
     bound = bind_spec(game, spec)
     require_exclusive(bound)
 
-    persist_matrix = bound.persistence_sets
-    exit_bases = [~ms for ms in bound.mode_sets]
     outcome = solve_stable_conjunction(
         game,
-        persist_matrix,
-        exit_bases,
+        [bound.persistence(i) for i in range(len(bound.targets))],
+        ~bound.modes,
         warm=opts.warm,
         record=opts.record,
     )
-    return MTSolveResult(outcome.winning, outcome.stats, outcome.traces, bound)
+    winning = StateSet._wrap(outcome.winning)
+    return MTSolveResult(winning, outcome.stats, outcome.traces, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +99,9 @@ def solve_mt_reference(game: GameGraph, spec: MTSpec) -> frozenset[int]:
 
     every = frozenset(range(game.n))
     mode_rows: list[tuple[frozenset[int], list[frozenset[int]]]] = []
-    for i, mode in enumerate(spec.modes):
-        mode_states = frozenset(bound.mode_sets[i].indices().tolist())
-        targets = [
-            frozenset((bound.mode_sets[i] & bound.target_sets[i][j]).indices().tolist())
-            for j in range(len(mode.targets))
-        ]
+    for i, mode_mask in enumerate(bound.modes):
+        mode_states = frozenset(mode_mask.nonzero()[0].tolist())
+        targets = [frozenset(p.nonzero()[0].tolist()) for p in bound.persistence(i)]
         mode_rows.append((mode_states, targets))
 
     z = every

@@ -23,7 +23,7 @@ solver; its sides are already resolved to state sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,42 +299,36 @@ def format_spec_file(spec: MTSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_mt_formula(spec: MTSpec) -> str:
-    """Render an MTSpec in the formula syntax."""
-    clauses = []
-    for m in spec.modes:
-        disj = " | ".join(f"FG {t}" for t in m.targets)
-        clauses.append(f"(FG {m.name} -> {disj})")
-    return " & ".join(clauses)
-
-
 # ---------------------------------------------------------------------------
 # Binding to a game and validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundSpec:
-    """Specification propositions resolved against one graph's labels."""
+    """Specification propositions resolved against one graph's labels, as
+    read-only boolean masks: ``modes`` has one row per mode (m x n), and
+    ``targets[i]`` one row per target of mode i (t_i x n)."""
 
     spec: MTSpec
-    mode_sets: tuple[StateSet, ...]
-    target_sets: tuple[tuple[StateSet, ...], ...]
+    modes: np.ndarray
+    targets: tuple[np.ndarray, ...]
 
-    @property
-    def persistence_sets(self) -> tuple[tuple[StateSet, ...], ...]:
-        """Per mode i, per target j, the set of mode-i states inside target j."""
-        return tuple(
-            tuple(self.mode_sets[i] & t for t in row)
-            for i, row in enumerate(self.target_sets)
-        )
+    def persistence(self, i: int) -> np.ndarray:
+        """Mode i's persistence block: per target j, the mode-i states
+        inside target j (a fresh t_i x n array)."""
+        return self.targets[i] & self.modes[i]
 
     def mode_index_of(self) -> np.ndarray:
-        """Per-state index of the (unique) mode labeling it, -1 when none."""
-        n = self.mode_sets[0].universe
-        out = np.full(n, -1, dtype=np.int64)
-        for i in reversed(range(len(self.mode_sets))):
-            out[self.mode_sets[i].bits] = i
-        return out
+        """Per-state index of the first mode labeling it, -1 when none."""
+        return np.where(self.modes.any(axis=0), self.modes.argmax(axis=0), -1)
+
+
+def _prop_rows(game: GameGraph, names: tuple[str, ...]) -> np.ndarray:
+    """Read-only (len(names) x n) masks of the named propositions."""
+    rows = np.array([game.prop_set(p).bits for p in names], dtype=bool)
+    rows = rows.reshape(len(names), game.n)
+    rows.flags.writeable = False
+    return rows
 
 
 def bind_spec(game: GameGraph, spec: MTSpec) -> BoundSpec:
@@ -350,23 +344,17 @@ def bind_spec(game: GameGraph, spec: MTSpec) -> BoundSpec:
         raise UnboundProposition(
             "proposition(s) unbound in graph: " + ", ".join(sorted(set(missing)))
         )
-    mode_sets = tuple(game.prop_set(m.name) for m in spec.modes)
-    target_sets = tuple(
-        tuple(game.prop_set(t) for t in m.targets) for m in spec.modes
-    )
-    return BoundSpec(spec, mode_sets, target_sets)
+    modes = _prop_rows(game, tuple(m.name for m in spec.modes))
+    return BoundSpec(spec, modes, tuple(_prop_rows(game, m.targets) for m in spec.modes))
 
 
 def require_exclusive(bound: BoundSpec) -> None:
     """Raise :class:`ModeExclusivityError` when a state carries two mode
     labels (assumption (A)); states carrying none are allowed."""
-    counts = sum(s.bits.astype(np.int64) for s in bound.mode_sets)
     violations = []
-    for v in np.flatnonzero(counts > 1).tolist():
+    for v in np.flatnonzero(bound.modes.sum(axis=0) > 1).tolist():
         names = [
-            mode.name
-            for mode, s in zip(bound.spec.modes, bound.mode_sets)
-            if s.bits[v]
+            mode.name for mode, row in zip(bound.spec.modes, bound.modes) if row[v]
         ]
         violations.append(f"state {v} breaks assumption (A): modes {', '.join(names)}")
     if violations:

@@ -95,8 +95,8 @@ def extract_strategy(game: GameGraph, spec: MTSpec, result: MTSolveResult) -> St
     rank = np.empty(owned.size, dtype=np.int64)  # outer rank in the own mode
     key = np.empty(s.size, dtype=np.int64)  # the target's outer rank
     tier = np.empty(s.size, dtype=np.int8)  # 0 progress, 1 stay, 2 neither
-    groups = zip(result.trace, bound.persistence_sets, by_mode(owned), by_mode(s))
-    for tr, persist, at, e in groups:
+    blocks = map(bound.persistence, range(len(result.trace)))
+    for tr, persist, at, e in zip(result.trace, blocks, by_mode(owned), by_mode(s)):
         rank[at] = tr.y_rank[owned[at]]
         v, w = s[e], d[e]
         key[e] = rw = tr.y_rank[w]
@@ -105,7 +105,7 @@ def extract_strategy(game: GameGraph, spec: MTSpec, result: MTSolveResult) -> St
         # holds v, at v's rank or earlier.
         stay = np.zeros(e.size, dtype=bool)
         for p, xr in zip(persist, tr.x_rank):
-            stay |= p.bits[v] & (0 <= xr[w]) & (xr[w] <= xr[v])
+            stay |= p[v] & (0 <= xr[w]) & (xr[w] <= xr[v])
         progress = (1 <= rw) & (rw < tr.y_rank[v])
         tier[e] = np.where(progress, 0, np.where(stay, 1, 2))
 
@@ -256,7 +256,7 @@ def check_strategy(
     # states or a self-loop, and it violates the mode when it has a state
     # outside each of the mode's targets.
     for i, mode in enumerate(spec.modes):
-        inside = win & bound.mode_sets[i].bits
+        inside = win & bound.modes[i]
         keep = inside[fs] & inside[fd]
         s, d = fs[keep], fd[keep]
         if not s.size:
@@ -265,7 +265,7 @@ def check_strategy(
         ncomp, labels = connected_components(adj, directed=True, connection="strong")
         bad = np.bincount(labels, minlength=ncomp) > 1
         bad[labels[s[s == d]]] = True
-        targets = [t.bits for t in bound.target_sets[i]]
+        targets = bound.targets[i]
         for t in targets:
             bad &= np.bincount(labels[~t], minlength=ncomp) > 0
         if not bad.any():
@@ -330,13 +330,13 @@ def enumerate_memoryless_winning(
     target_masks = []
     for i in range(spec.mode_count):
         mm = 0
-        for v in bound.mode_sets[i].indices():
+        for v in np.flatnonzero(bound.modes[i]):
             mm |= 1 << int(v)
         mode_masks.append(mm)
         target_masks.append(
             [
-                sum(1 << int(v) for v in ts.indices())
-                for ts in bound.target_sets[i]
+                sum(1 << int(v) for v in np.flatnonzero(ts))
+                for ts in bound.targets[i]
             ]
         )
 

@@ -380,7 +380,7 @@ def check_strategy_loop(
 
     # Cycle criterion, one mode at a time.
     for i, mode in enumerate(spec.modes):
-        member_arr = win_bits & bound.mode_sets[i].bits
+        member_arr = win_bits & bound.modes[i]
         nodes = [int(v) for v in np.flatnonzero(member_arr)]
         if not nodes:
             continue
@@ -414,7 +414,7 @@ def check_strategy_loop(
             witnesses: list[int] = []
             violating = True
             for j in range(len(mode.targets)):
-                tb = bound.target_sets[i][j].bits
+                tb = bound.targets[i][j]
                 outside = next((v for v in comp_nodes if not tb[v]), None)
                 if outside is None:
                     violating = False  # this target contains the component
@@ -523,9 +523,7 @@ def extract_strategy_loop(game: GameGraph, spec: MTSpec, result) -> Strategy:
             "strategy extraction requires modes exhaustive over the winning set"
         )
 
-    persist_bits = [
-        [p.bits for p in row] for row in bound.persistence_sets
-    ]
+    persist_bits = [bound.persistence(i) for i in range(len(bound.targets))]
 
     choices: dict[int, int] = {}
     for v in winning.indices():

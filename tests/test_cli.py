@@ -203,6 +203,18 @@ def test_solve_unbound_proposition_is_validation_error(g1_files, capsys):
     assert "unbound" in capsys.readouterr().err
 
 
+def test_solve_empty_ltl_is_not_ignored(g1_files, capsys):
+    game_path, spec_path = g1_files
+    # An empty formula still counts as --ltl: with a spec file it is the
+    # usage error, and alone it is the parser's error, as for blank text.
+    assert cli.main(["solve", str(game_path), str(spec_path), "--ltl", ""]) == 2
+    assert "not both" in capsys.readouterr().err
+    for blank in ("", "   "):
+        assert cli.main(["solve", str(game_path), "--ltl", blank]) == 2
+        err = capsys.readouterr().err
+        assert "expected '('" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "formula",
     [

@@ -22,6 +22,20 @@ def stay_op(engine, region):
     return lambda x: engine.pre(x) & region
 
 
+def block(n, *sets):
+    """The (len(sets) x n) persistence block of some StateSets."""
+    return np.array([s.bits for s in sets], dtype=bool).reshape(len(sets), n)
+
+
+def members(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
+def subset(a, b):
+    """Mask ``a`` is a subset of mask ``b``."""
+    return not (a & ~b).any()
+
+
 # ---------------------------------------------------------------------------
 # Engine instrumentation
 
@@ -29,15 +43,9 @@ def stay_op(engine, region):
 def test_pre_counter_increments(g2_game):
     engine = FixpointEngine(g2_game)
     assert engine.stats.pre_count == 0
-    engine.pre(engine.full)
-    engine.pre(engine.empty)
+    engine.pre(np.ones(2, dtype=bool))
+    engine.pre(StateSet.empty(2))
     assert engine.stats.pre_count == 2
-
-
-def test_engine_constants(g1_game):
-    engine = FixpointEngine(g1_game)
-    assert set(engine.full) == {0, 1}
-    assert len(engine.empty) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -69,22 +77,32 @@ def test_gfp_seed_independence():
 
 def test_persistence_full_and_empty(g2_game):
     engine = FixpointEngine(g2_game)
-    assert set(solve_persistence_reach(engine, [engine.full]).value) == {0, 1}
-    assert set(solve_persistence_reach(engine, [engine.empty]).value) == set()
+    nowhere = np.zeros(2, dtype=bool)
+    full = solve_persistence_reach(engine, np.ones((1, 2), dtype=bool), nowhere)
+    assert members(full.value) == {0, 1}
+    empty = solve_persistence_reach(engine, np.zeros((1, 2), dtype=bool), nowhere)
+    assert members(empty.value) == set()
 
 
 def test_persistence_rejects_sets_of_another_universe(g2_game):
     engine = FixpointEngine(g2_game)
     with pytest.raises(ValueError):
-        solve_persistence_reach(engine, [StateSet(1, [0])])
+        solve_persistence_reach(engine, np.ones((1, 1), dtype=bool), np.zeros(2, bool))
     with pytest.raises(ValueError):
-        solve_persistence_reach(engine, [], StateSet(3, [0]))
+        solve_persistence_reach(engine, np.ones((0, 2), dtype=bool), np.zeros(3, bool))
+    with pytest.raises(ValueError):
+        solve_persistence_reach(
+            engine,
+            np.ones((1, 2), dtype=bool),
+            np.zeros(2, bool),
+            x_seeds=[np.ones(3, dtype=bool)],
+        )
 
 
 def test_persistence_frozen_g2(g2_game):
     engine = FixpointEngine(g2_game)
-    res = solve_persistence_reach(engine, [StateSet(2, [1])])
-    assert set(res.value) == set()
+    res = solve_persistence_reach(engine, block(2, StateSet(2, [1])), np.zeros(2, bool))
+    assert members(res.value) == set()
 
 
 def test_persistence_without_sets_is_attractor():
@@ -92,8 +110,8 @@ def test_persistence_without_sets_is_attractor():
         g = helpers.random_graph(seed)
         goal = helpers.random_subset(seed + 500, g.n)
         engine = FixpointEngine(g)
-        res = solve_persistence_reach(engine, [], reach_set=goal)
-        assert set(res.value) == helpers.naive_attractor(g, set(goal)), f"seed {seed}"
+        res = solve_persistence_reach(engine, block(g.n), goal.bits)
+        assert members(res.value) == helpers.naive_attractor(g, set(goal)), f"seed {seed}"
 
 
 def test_persistence_value_contains_reach_and_stay_regions():
@@ -102,11 +120,11 @@ def test_persistence_value_contains_reach_and_stay_regions():
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        res = solve_persistence_reach(engine, [p], reach_set=reach)
-        assert reach <= res.value
+        res = solve_persistence_reach(engine, block(g.n, p), reach.bits)
+        assert subset(reach.bits, res.value)
         stay = engine.gfp(stay_op(engine, p))
-        assert stay <= res.value
-        assert res.final_x[0] <= res.value
+        assert subset(stay.bits, res.value)
+        assert subset(res.final_x[0], res.value)
 
 
 def test_persistence_warm_seeds_reproduce_value():
@@ -116,13 +134,12 @@ def test_persistence_warm_seeds_reproduce_value():
         p = helpers.random_subset(seed + 11, g.n)
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        cold = solve_persistence_reach(engine, [p, q], reach_set=reach)
+        persist = block(g.n, p, q)
+        cold = solve_persistence_reach(engine, persist, reach.bits)
         before = engine.stats.pre_count
-        warm = solve_persistence_reach(
-            engine, [p, q], reach_set=reach, x_seeds=cold.final_x
-        )
+        warm = solve_persistence_reach(engine, persist, reach.bits, x_seeds=cold.final_x)
         warm_cost = engine.stats.pre_count - before
-        assert warm.value == cold.value
+        assert np.array_equal(warm.value, cold.value)
         assert warm_cost <= before
 
 
@@ -134,18 +151,19 @@ def test_recorded_iterates_form_increasing_chain():
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         res = solve_persistence_reach(
-            engine, [p, q], reach_set=reach, record=True
+            engine, block(g.n, p, q), reach.bits, record=True
         )
         ys = res.y_iterates
-        assert len(ys[0]) == 0
+        assert not ys[0].any()
         for a, b in zip(ys, ys[1:]):
-            assert a < b  # strictly increasing until the fixed point
-        assert ys[-1] == res.value
+            # strictly increasing until the fixed point
+            assert subset(a, b) and not np.array_equal(a, b)
+        assert np.array_equal(ys[-1], res.value)
         assert len(res.x_iterates) == len(ys) - 1
         for row in res.x_iterates:
             assert len(row) == 2
             for x in row:
-                assert x <= res.value
+                assert subset(x, res.value)
 
 
 def test_mode_trace_ranks_reconstruct_iterates():
@@ -154,21 +172,23 @@ def test_mode_trace_ranks_reconstruct_iterates():
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        res = solve_persistence_reach(engine, [p], reach_set=reach, record=True)
+        res = solve_persistence_reach(engine, block(g.n, p), reach.bits, record=True)
         tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
         assert tr.target_count == 1
         for rank, y in enumerate(res.y_iterates):
-            assert np.array_equal((tr.y_rank >= 1) & (tr.y_rank <= rank), y.bits)
-        assert np.array_equal(tr.y_rank >= 1, res.value.bits)
+            assert np.array_equal((tr.y_rank >= 1) & (tr.y_rank <= rank), y)
+        assert np.array_equal(tr.y_rank >= 1, res.value)
         for rank, row in enumerate(res.x_iterates):
             xr = tr.x_rank[0]
-            assert np.array_equal((xr >= 0) & (xr <= rank), row[0].bits)
+            assert np.array_equal((xr >= 0) & (xr <= rank), row[0])
 
 
 def test_mode_trace_handles_immediate_convergence():
     g = helpers.g2()
     engine = FixpointEngine(g)
-    res = solve_persistence_reach(engine, [engine.empty], record=True)
+    res = solve_persistence_reach(
+        engine, np.zeros((1, 2), dtype=bool), np.zeros(2, bool), record=True
+    )
     assert len(res.y_iterates) == 1
     tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
     assert not (tr.y_rank >= 1).any()
@@ -182,22 +202,20 @@ def test_mode_trace_handles_immediate_convergence():
 
 def _bound_parts(game, spec):
     bound = bind_spec(game, spec)
-    persist = bound.persistence_sets
-    exits = [~ms for ms in bound.mode_sets]
-    return persist, exits
+    return [bound.persistence(i) for i in range(len(bound.targets))], ~bound.modes
 
 
 def test_driver_frozen_examples(g1_game, g2_game, one_mode_spec):
     p1, e1 = _bound_parts(g1_game, one_mode_spec)
     out1 = solve_stable_conjunction(g1_game, p1, e1)
-    assert set(out1.winning) == {0, 1}
+    assert members(out1.winning) == {0, 1}
     assert out1.stats.outer_iterations >= 1
     assert out1.stats.pre_count > 0
     assert out1.stats.wall_time_s >= 0.0
 
     p2, e2 = _bound_parts(g2_game, one_mode_spec)
     out2 = solve_stable_conjunction(g2_game, p2, e2)
-    assert set(out2.winning) == set()
+    assert members(out2.winning) == set()
 
 
 def test_driver_records_one_trace_per_conjunct(g1_game, one_mode_spec):
@@ -221,7 +239,7 @@ def test_final_round_iterates_close_on_winning_set():
         persist, exits = _bound_parts(game, spec)
         out = solve_stable_conjunction(game, persist, exits, record=True)
         for tr in out.traces:
-            assert np.array_equal(tr.y_rank >= 1, out.winning.bits)
+            assert np.array_equal(tr.y_rank >= 1, out.winning)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -272,7 +290,7 @@ def test_driver_warm_matches_cold():
         persist, exits = _bound_parts(game, spec)
         cold = solve_stable_conjunction(game, persist, exits)
         warm = solve_stable_conjunction(game, persist, exits, warm=True)
-        assert warm.winning == cold.winning
+        assert np.array_equal(warm.winning, cold.winning)
 
 
 def test_driver_pre_count_deterministic(g1_game, one_mode_spec):
@@ -281,6 +299,42 @@ def test_driver_pre_count_deterministic(g1_game, one_mode_spec):
     b = solve_stable_conjunction(g1_game, p, e)
     assert a.stats.pre_count == b.stats.pre_count
     assert a.stats.outer_iterations == b.stats.outer_iterations
+
+
+# ---------------------------------------------------------------------------
+# The core runs on boolean masks; StateSets are made only at the public edge
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_state_sets_made_per_solve_do_not_grow_with_outer_rounds(monkeypatch, algo):
+    from mtgames.benchgen import gen_random_game
+    from mtgames.gr1 import solve_gr1_emb
+    from mtgames.solver import SolveOptions, solve_mt
+
+    made = []
+    wrap, init = StateSet._wrap.__func__, StateSet.__init__
+
+    def counted_wrap(cls, bits):
+        made.append(None)
+        return wrap(cls, bits)
+
+    def counted_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateSet, "_wrap", classmethod(counted_wrap))
+    monkeypatch.setattr(StateSet, "__init__", counted_init)
+    solve = solve_mt if algo == "mt" else solve_gr1_emb
+    made_by_rounds = {}
+    # Seed 9 is solved in one outer round, seed 0 in eight; the spec's
+    # shape, and so the number of sets bound and handed out, is the same.
+    for seed in (9, 0):
+        game, spec = gen_random_game(60, 3, [2, 1, 2], 3.0, seed)
+        made.clear()
+        result = solve(game, spec, SolveOptions(warm=True, record=True))
+        made_by_rounds[result.stats.outer_iterations] = len(made)
+    assert min(made_by_rounds) == 1 and max(made_by_rounds) >= 3
+    assert len(set(made_by_rounds.values())) == 1, made_by_rounds
 
 
 # ---------------------------------------------------------------------------

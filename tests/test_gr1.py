@@ -3,6 +3,7 @@ onto it."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import helpers
@@ -43,10 +44,10 @@ def test_embed_shapes_and_padding():
     assert len(emb.guarantees) == 2  # mode count
     assert emb.bound.spec == spec
     # Target lists are bound as declared; the short mode is not padded.
-    assert [len(row) for row in emb.bound.target_sets] == [2, 1]
-    assert set(emb.bound.target_sets[0][0]) == {0}
-    assert set(emb.bound.target_sets[0][1]) == {4}
-    assert set(emb.bound.target_sets[1][0]) == {2}
+    assert [len(rows) for rows in emb.bound.targets] == [2, 1]
+    assert np.flatnonzero(emb.bound.targets[0][0]).tolist() == [0]
+    assert np.flatnonzero(emb.bound.targets[0][1]).tolist() == [4]
+    assert np.flatnonzero(emb.bound.targets[1][0]).tolist() == [2]
 
 
 def test_embed_frozen_sets():
@@ -67,15 +68,15 @@ def test_embed_assumption_complement_identity():
         bound = bind_spec(game, spec)
         assert len(emb.assumptions) == spec.max_targets
         for j, a in enumerate(emb.assumptions):
-            hit = StateSet.empty(game.n)
-            for mode_set, targets in zip(bound.mode_sets, bound.target_sets):
+            hit = np.zeros(game.n, dtype=bool)
+            for mode, targets in zip(bound.modes, bound.targets):
                 if j < len(targets):
-                    overlap = mode_set & targets[j]
-                    assert not overlap & a
-                    hit = hit | overlap
-            assert ~a == hit
-        for mode_set, g in zip(bound.mode_sets, emb.guarantees):
-            assert ~g == mode_set
+                    overlap = mode & targets[j]
+                    assert not (overlap & a.bits).any()
+                    hit |= overlap
+            assert np.array_equal(~a.bits, hit)
+        for mode, g in zip(bound.modes, emb.guarantees):
+            assert np.array_equal(~g.bits, mode)
 
 
 def test_embed_requires_exclusive_modes():

@@ -17,6 +17,7 @@ from mtgames.errors import (
 )
 from mtgames.game import GameGraph, pre
 from mtgames.gr1 import embed, solve_gr1_emb
+from mtgames.sets import StateSet
 from mtgames.solver import (
     MTSolveResult,
     SolveOptions,
@@ -184,8 +185,9 @@ def test_single_target_stay_region_is_won():
         w = solve_mt(game, spec).winning
         bound = bind_spec(game, spec)
         engine = FixpointEngine(game)
-        for row in bound.persistence_sets:
-            for p in row:
+        for i in range(len(bound.targets)):
+            for row in bound.persistence(i):
+                p = StateSet.from_mask(row)
                 stay = engine.gfp(lambda x, p=p: engine.pre(x) & p)
                 assert stay <= w
 
@@ -220,4 +222,4 @@ def test_result_carries_bound_spec(g1_game, one_mode_spec):
     result = solve_mt(g1_game, one_mode_spec)
     assert isinstance(result, MTSolveResult)
     assert result.bound.spec == one_mode_spec
-    assert set(result.bound.mode_sets[0]) == {0, 1}
+    assert result.bound.modes.tolist() == [[True, True]]

@@ -21,7 +21,6 @@ from mtgames.specs import (
     ModeSpec,
     MTSpec,
     bind_spec,
-    format_mt_formula,
     format_spec_file,
     lasso_satisfies,
     parse_mt_formula,
@@ -193,8 +192,6 @@ def test_parse_spec_file_error_line_numbers():
 def test_format_round_trips():
     spec = parse_mt_formula(TWO_MODE_FORMULA)
     assert parse_spec_file(format_spec_file(spec)) == spec
-    assert parse_mt_formula(format_mt_formula(spec)) == spec
-    assert format_mt_formula(spec) == TWO_MODE_FORMULA
     assert format_spec_file(spec) == TWO_MODE_FILE
 
 
@@ -204,9 +201,29 @@ def test_format_round_trips():
 
 def test_bind_spec_resolves_sets(g1_game, one_mode_spec):
     bound = bind_spec(g1_game, one_mode_spec)
-    assert set(bound.mode_sets[0]) == {0, 1}
-    assert set(bound.target_sets[0][0]) == {1}
-    assert set(bound.persistence_sets[0][0]) == {1}
+    assert bound.modes.tolist() == [[True, True]]
+    assert [t.tolist() for t in bound.targets] == [[[False, True]]]
+    assert bound.persistence(0).tolist() == [[False, True]]
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_bound_arrays_are_read_only_rows_per_proposition(n):
+    g = helpers.build_game(
+        n,
+        [0] * n,
+        [(v, v) for v in range(n)],
+        {"M1": range(n), "M2": [], "T1": [], "T2": range(n), "T3": []},
+    )
+    bound = bind_spec(g, parse_mt_formula("(FG M1 -> FG T1 | FG T2) & (FG M2 -> FG T3)"))
+    assert bound.modes.shape == (2, n) and bound.modes.dtype == bool
+    assert [t.shape for t in bound.targets] == [(2, n), (1, n)]
+    assert all(t.dtype == bool for t in bound.targets)
+    assert [bound.persistence(i).shape for i in range(2)] == [(2, n), (1, n)]
+    assert bound.persistence(0).tolist() == [[False] * n, [True] * n]
+    assert bound.mode_index_of().tolist() == [0] * n
+    for arr in (bound.modes, *bound.targets):
+        with pytest.raises(ValueError):
+            arr[...] = True
 
 
 def test_bind_spec_reports_all_missing(g1_game):
@@ -246,12 +263,17 @@ def test_exclusivity_violation():
         {"M1": [0, 1, 2], "M2": [1], "M3": [1, 2], "T": [0]},
     )
     spec = parse_mt_formula("(FG M1 -> FG T) & (FG M2 -> FG T) & (FG M3 -> FG T)")
+    bound = bind_spec(g, spec)
     with pytest.raises(ModeExclusivityError) as err:
-        require_exclusive(bind_spec(g, spec))
+        require_exclusive(bound)
     assert str(err.value) == (
         "state 1 breaks assumption (A): modes M1, M2, M3; "
         "state 2 breaks assumption (A): modes M1, M3"
     )
+    # On an overlapping binding a state's mode index is its first mode.
+    assert bound.mode_index_of().tolist() == [0, 0, 0]
+    swapped = parse_mt_formula("(FG M2 -> FG T) & (FG M3 -> FG T) & (FG M1 -> FG T)")
+    assert bind_spec(g, swapped).mode_index_of().tolist() == [2, 0, 1]
 
 
 def test_exclusivity_gap_is_not_an_error():

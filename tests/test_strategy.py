@@ -142,7 +142,7 @@ def test_extract_choices_descend_iterate_ranks():
             held = False
             for j in range(tr.target_count):
                 lv, lw = int(tr.x_rank[j][v]), int(tr.x_rank[j][w])
-                in_persist = bool(result.bound.persistence_sets[k][j].bits[v])
+                in_persist = bool(result.bound.persistence(k)[j][v])
                 if in_persist and 0 <= lv and 0 <= lw <= lv:
                     held = True
             assert held, f"seed {seed}, move {v}->{w}"
