@@ -44,6 +44,18 @@ class _Usage(Exception):
     """Command-line usage error (exit code 2)."""
 
 
+def _seed(text: str) -> int:
+    """A generator's ``--seed``: numpy's random generators take no
+    negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass
 class RunRecord:
     """One solver run, as reported on stdout and in CSV. The fields, in
@@ -375,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid", default="16x16", help="WIDTHxHEIGHT (default 16x16)")
     r.add_argument("--boxes", help="file of room rectangles: col0 row0 col1 row1")
     r.add_argument("--obstacles", type=int, default=0)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--out", required=True, help="output prefix (.game/.spec)")
     r.set_defaults(func=cmd_gen_robot)
 
@@ -384,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--modes", type=int, required=True)
     g.add_argument("--targets", required=True, help="comma-separated per-mode counts")
     g.add_argument("--density", type=float, default=2.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--alternate-owners", action="store_true")
     g.add_argument("--out", required=True, help="output prefix (.game/.spec)")
     g.set_defaults(func=cmd_gen_random)
@@ -395,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--states", type=int, required=True)
     e.add_argument("--modes", type=int, required=True)
     e.add_argument("--density", type=float, default=2.0)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--extra-min", type=int, default=1)
     e.add_argument("--extra-max", type=int, default=10)
     e.add_argument("--name", default="series", help="file-name prefix")

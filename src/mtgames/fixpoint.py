@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameGraph, RowSlice, pre
+from .game import GameGraph, PreTracker, RowSlice, pre
 from .sets import StateSet
 
 
@@ -48,13 +48,18 @@ class FixpointEngine:
         self._slices: dict[int, tuple[np.ndarray, list[RowSlice]]] = {}
 
     def pre(
-        self, s: StateSet | np.ndarray, within: RowSlice | None = None
+        self,
+        s: StateSet | np.ndarray,
+        within: RowSlice | None = None,
+        tracker: PreTracker | None = None,
     ) -> StateSet | np.ndarray:
         """Counted Pre of a boolean mask, as the loops below pass it, or of
         a StateSet; the result has the same type. With ``within``, a slice
-        from :meth:`row_slices`, it is Pre inside that set only."""
+        from :meth:`row_slices`, it is Pre inside that set only; with
+        ``tracker``, from ``game.pre_tracker``, the tracker's counts are
+        brought up to date instead of counting every edge."""
         self.stats.pre_count += 1
-        return pre(self.game, s, within=within)
+        return pre(self.game, s, within=within, tracker=tracker)
 
     def row_slices(self, block: np.ndarray) -> list[RowSlice]:
         """The graph's row slice of each row of ``block``, built once per
@@ -138,11 +143,13 @@ def solve_persistence_reach(
     slices = engine.row_slices(persist_block)
     full = np.ones(n, dtype=bool)
     y = np.zeros(n, dtype=bool)
+    # Y only grows along the chain, so Pre(Y) is tracked from the empty set.
+    y_counts = engine.game.pre_tracker(full=False)
     y_iterates = [y] if record else None
     x_iterates: list[list[np.ndarray]] | None = [] if record else None
 
     while True:
-        base = engine.pre(y)
+        base = engine.pre(y, tracker=y_counts)
         base |= reach_mask
         new_y = base.copy()
         x_row: list[np.ndarray] = []
@@ -254,9 +261,11 @@ def solve_stable_conjunction(
 
     t0 = time.perf_counter()
     z = np.ones(game.n, dtype=bool)
+    # Z only shrinks across the rounds, so Pre(Z) is tracked from the full set.
+    z_counts = game.pre_tracker(full=True)
     while True:
         stats.outer_iterations += 1
-        pre_z = engine.pre(z)
+        pre_z = engine.pre(z, tracker=z_counts)
         new_z = z.copy()
         for i, block in enumerate(persist_blocks):
             res = solve_persistence_reach(

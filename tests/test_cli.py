@@ -670,6 +670,26 @@ def test_gen_series_cli_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-random", "--states", "10", "--modes", "2", "--targets", "1,1",
+         "--out", "r"],
+        ["gen-robot", "--rooms", "2", "--grid", "9x8", "--obstacles", "2",
+         "--out", "rb"],
+        ["gen-series", "--states", "10", "--modes", "1", "--out-dir", "s"],
+    ],
+    ids=["gen-random", "gen-robot", "gen-series"],
+)
+def test_generators_reject_a_negative_seed(argv, tmp_path, capsys):
+    argv = argv[:-1] + [str(tmp_path / argv[-1]), "--seed", "-1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, max_states",
     [
         (["gen-random", "--states", "5", "--modes", "1", "--targets", "1",

@@ -445,6 +445,104 @@ def test_row_slices_are_built_once_per_persistence_set(monkeypatch, warm):
 
 
 # ---------------------------------------------------------------------------
+# Tracked whole-graph Pre: successor counts kept along a chain
+
+
+def _solve(algo, game, spec, warm):
+    from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
+    from mtgames.solver import SolveOptions, solve_mt
+
+    if algo == "gr1":
+        return solve_gr1(game, embed(game, spec).spec(), warm=warm)
+    solve = solve_mt if algo == "mt" else solve_gr1_emb
+    return solve(game, spec, SolveOptions(warm=warm))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
+def test_every_tracked_pre_equals_the_full_pre(monkeypatch, algo, warm):
+    import mtgames.fixpoint
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+
+    monkeypatch.setattr(mtgames.game, "TRACKED_PRE_EDGES", 0)
+    original = mtgames.fixpoint.pre
+    # Per tracked call: the states that joined and left its set since the
+    # tracker's last call.
+    steps = []
+
+    def checked(game, mask, within=None, tracker=None):
+        if tracker is not None:
+            steps.append(
+                (np.count_nonzero(mask & ~tracker._mask), np.count_nonzero(~mask & tracker._mask))
+            )
+        got = original(game, mask, within=within, tracker=tracker)
+        if tracker is not None:
+            assert np.array_equal(got, game.pre_mask(mask)), len(steps)
+        return got
+
+    monkeypatch.setattr(mtgames.fixpoint, "pre", checked)
+    rounds = set()
+    for seed in range(3):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        steps.clear()
+        result = _solve(algo, game, spec, warm)
+        rounds.add(result.stats.outer_iterations)
+        calls = len(steps)
+        # Every Pre(Z) and Pre(Y) is tracked; the row-sliced ones are not.
+        assert 0 < calls < result.stats.pre_count
+        # Both the in-edge updates and the recounts of large changes ran.
+        recount = mtgames.game._RECOUNT_SHARE * game.n
+        assert any(0 < joined <= recount for joined, _ in steps)
+        assert any(joined > recount for joined, _ in steps)
+        assert any(left for _, left in steps)
+    assert max(rounds) >= 5
+
+
+def test_tracker_follows_sets_that_grow_and_shrink_at_once():
+    from mtgames.benchgen import gen_random_game
+    from mtgames.game import PreTracker
+
+    game, _ = gen_random_game(300, 2, [1, 1], 3.0, 4)
+    rng = np.random.default_rng(0)
+    for full in (False, True):
+        tracker = PreTracker(game, full)
+        mask = np.full(game.n, full)
+        for share in (0.01, 0.05, 0.2, 0.6, 0.0, 0.1):
+            mask = mask ^ (rng.random(game.n) < share)
+            assert np.array_equal(tracker.counts(mask), game.count_successors_in(mask))
+
+
+def test_only_graphs_above_the_edge_constant_are_tracked(monkeypatch):
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+
+    calls = []
+    counts = mtgames.game.PreTracker.counts
+
+    def counted(self, mask):
+        calls.append(None)
+        return counts(self, mask)
+
+    monkeypatch.setattr(mtgames.game.PreTracker, "counts", counted)
+    game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0)
+    results = {}
+    for constant, tracked in ((game.num_edges, False), (game.num_edges - 1, True)):
+        monkeypatch.setattr(mtgames.game, "TRACKED_PRE_EDGES", constant)
+        for algo in ("mt", "gr1emb"):
+            calls.clear()
+            result = _solve(algo, game, spec, warm=True)
+            assert bool(calls) == tracked, (constant, algo)
+            results.setdefault(algo, []).append(
+                (result.stats.pre_count, result.stats.outer_iterations, result.winning)
+            )
+        # The predecessor CSR is built on the first tracked Pre only.
+        assert ("_in_edges" in vars(game)) == tracked
+    for algo, (below, above) in results.items():
+        assert below == above, algo
+
+
+# ---------------------------------------------------------------------------
 # Pinned work: (pre_count, outer_iterations) of solve_mt cold, solve_mt warm,
 # solve_gr1_emb cold and solve_gr1_emb warm. A speed-up that keeps the
 # algorithm must leave every figure as it is.

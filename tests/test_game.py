@@ -21,6 +21,7 @@ from mtgames.game import (
     PLAYER0,
     PLAYER1,
     GameGraph,
+    PreTracker,
     _edge_issues,
     load_game,
     pre,
@@ -244,6 +245,7 @@ def test_pre_kernel_arrays_share_one_index_dtype(monkeypatch):
     rows = g.row_slice(helpers.random_subset(4, 9).bits)
     dtypes = {a.dtype for a in (g._indptr, g._indices, rows.indptr, rows.indices)}
     assert dtypes == {np.dtype(np.int32)}
+    assert {a.dtype for a in g._in_edges} == {np.dtype(np.int32)}
     # The edge arrays stay int64: numpy indexes with int32 arrays slowly.
     assert {a.dtype for a in g.edge_arrays} == {np.dtype(np.int64)}
     # Past the int32 edge limit the graph indexes with int64 throughout, and
@@ -259,6 +261,13 @@ def test_pre_kernel_arrays_share_one_index_dtype(monkeypatch):
         expected = helpers.pre_where(g, s)
         assert pre(g, s) == expected, f"seed {seed}"
         assert pre(g, s, within=rows) == expected & within, f"seed {seed}"
+        # A tracker fed one state per call updates from in-edges throughout.
+        tracker, grown = PreTracker(g, full=False), np.zeros(g.n, dtype=bool)
+        for v in s.indices():
+            grown[v] = True
+            pre(g, grown, tracker=tracker)
+        assert {a.dtype for a in g._in_edges} == {np.dtype(np.int64)}
+        assert pre(g, s, tracker=tracker) == expected, f"seed {seed}"
 
 
 def test_pre_rejects_a_mask_of_the_wrong_length():
@@ -268,6 +277,8 @@ def test_pre_rejects_a_mask_of_the_wrong_length():
             pre(g, bad)
         with pytest.raises(ValueError, match="for 6 states"):
             pre(g, bad, within=g.row_slice(np.ones(6, bool)))
+        with pytest.raises(ValueError, match="for 6 states"):
+            pre(g, bad, tracker=PreTracker(g, full=True))
 
 
 # ---------------------------------------------------------------------------
