@@ -230,7 +230,7 @@ class GameGraph:
     ) -> np.ndarray:
         """For each row of the CSR rows ``indptr``/``indices`` (the whole
         graph's, or a row slice's), how many of its successors the length-n
-        boolean mask holds, as int32."""
+        boolean mask, or its 0/1 int32 form, holds, as int32."""
         # scipy's compiled CSR kernel, called on the graph's own arrays: at
         # n≈600 the dispatch of csr_matrix.__matmul__ (checks, dtype
         # resolution, allocation) is most of a Pre. Every array passed shares
@@ -240,7 +240,8 @@ class GameGraph:
             raise ValueError(f"mask of shape {mask.shape} for {self._n} states")
         out = np.zeros(indptr.size - 1, dtype=np.int32)
         data = self._ones[: indices.size]
-        csr_matvec(out.size, self._n, indptr, indices, data, mask.astype(np.int32), out)
+        vector = mask.astype(np.int32, copy=False)
+        csr_matvec(out.size, self._n, indptr, indices, data, vector, out)
         return out
 
     def count_successors_in(self, mask: np.ndarray) -> np.ndarray:
@@ -255,19 +256,18 @@ class GameGraph:
     ) -> np.ndarray:
         """Controllable predecessor of a length-n boolean mask, as a fresh
         mask; see :func:`pre`. With ``within`` only the slice's rows are
-        evaluated, and every other state is False. With ``tracker``, one
-        from :meth:`pre_tracker`, the whole graph's successor counts are
-        the tracker's, brought up to date to ``mask``."""
+        evaluated, and the result has one value per row of the slice;
+        ``mask`` may then also be the mask's 0/1 int32 form, which the
+        kernel reads with no conversion. With ``tracker``, one from
+        :meth:`pre_tracker`, the whole graph's successor counts are the
+        tracker's, brought up to date to ``mask``."""
         if tracker is not None:
             if within is not None:
                 raise ValueError("a tracked Pre is over the whole graph")
             return tracker.counts(mask) > self._pre_floor
         if within is None:
             return self.count_successors_in(mask) > self._pre_floor
-        out = np.zeros(self._n, dtype=bool)
-        counts = self._counts(within.indptr, within.indices, mask)
-        out[within.rows] = counts > within.floor
-        return out
+        return self._counts(within.indptr, within.indices, mask) > within.floor
 
     def row_slice(self, mask: np.ndarray) -> RowSlice:
         """The successor rows and Pre floors of the states in a length-n
@@ -455,7 +455,10 @@ def pre(
     it; the result has the same type.
 
     With ``within``, a slice from ``game.row_slice(P)``, the result is
-    ``Pre(target) & P``, computed from P's successor rows alone.
+    ``Pre(target) & P``, computed from P's successor rows alone. For a
+    StateSet it is a StateSet of n states; for a mask it has one value per
+    row of the slice, in the order of ``within.rows``, and the mask may be
+    given in its 0/1 int32 form.
 
     With ``tracker``, from ``game.pre_tracker``, the result is the same,
     computed from the tracker's successor counts: each call reads the
@@ -466,7 +469,12 @@ def pre(
         return game.pre_mask(target, within, tracker)
     if target.universe != game.n:
         raise ValueError("target universe does not match game")
-    return StateSet._wrap(game.pre_mask(target.bits, within, tracker))
+    got = game.pre_mask(target.bits, within, tracker)
+    if within is None:
+        return StateSet._wrap(got)
+    out = np.zeros(game.n, dtype=bool)
+    out[within.rows] = got
+    return StateSet._wrap(out)
 
 
 def validate_graph(game: GameGraph) -> list[str]:

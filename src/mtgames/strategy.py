@@ -462,7 +462,7 @@ def _parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
 
 def format_winning(winning: StateSet) -> str:
     lines = [f"# {len(winning)} states"]
-    lines.extend(str(int(v)) for v in winning.indices())
+    lines.extend(map(str, winning.indices().tolist()))
     return "\n".join(lines) + "\n"
 
 

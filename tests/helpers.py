@@ -571,3 +571,104 @@ def extract_strategy_loop(game: GameGraph, spec: MTSpec, result) -> Strategy:
             )
         choices[v] = best[1]
     return Strategy(choices, winning_size=len(winning))
+
+
+# ---------------------------------------------------------------------------
+# Iterate traces: a plain recording loop, and the rank builder that read
+# its full masks, kept as oracles
+
+
+def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
+    """The iteration of ``fixpoint.solve_persistence_reach`` with every Pre
+    over the whole graph (``pre_where``) and every iterate kept as a
+    length-n mask. Returns (value, final_x, y_iterates, bases, x_iterates,
+    pre_calls), where y_iterates runs from Y_0 = empty to the fixed point,
+    bases[l] = Pre(Y_l) | reach and x_iterates[l][j] is the inner fixed
+    point of set j against Y_l, for every rank l that grew Y."""
+
+    def pre(mask):
+        return pre_where(game, StateSet.from_mask(mask)).bits
+
+    y = np.zeros(game.n, dtype=bool)
+    ys, bases, xs, calls = [y], [], [], 0
+    while True:
+        base = pre(y) | reach
+        calls += 1
+        new_y, row = base.copy(), []
+        for j, p in enumerate(block):
+            x = np.ones(game.n, dtype=bool) if seeds is None else seeds[j]
+            while True:
+                nxt = x & ((pre(x) & p) | base)
+                calls += 1
+                if np.array_equal(nxt, x):
+                    break
+                x = nxt
+            row.append(x)
+            new_y |= x
+        if np.array_equal(new_y, y):
+            return y, row, ys, bases, xs, calls
+        y = new_y
+        ys.append(y)
+        bases.append(base)
+        xs.append(row)
+
+
+def full_iterates(n: int, rows, bases, x_iterates):
+    """(y_iterates, x_iterates as length-n masks) of a recorded
+    ``solve_persistence_reach`` result, whose persistence set j holds the
+    states ``rows[j]``: X_l = base_l | (X_l & P_j), and Y_(l+1) is base_l
+    with the row's X_l."""
+    ys, xs = [np.zeros(n, dtype=bool)], []
+    for base, row in zip(bases, x_iterates):
+        full_row = []
+        for r, x in zip(rows, row):
+            if x.size != n:
+                x, on_rows = base.copy(), x
+                x[r] = on_rows
+            full_row.append(x)
+        y = base.copy()
+        for x in full_row:
+            y |= x
+        ys.append(y)
+        xs.append(full_row)
+    return ys, xs
+
+
+class ModeTraceLoop:
+    """``fixpoint.ModeTrace`` as it was built from full iterate masks, one
+    int64 pass per (rank, target); the oracle of ``from_iterates``."""
+
+    def __init__(self, n: int, target_count: int):
+        self.y_rank = np.full(n, -1, dtype=np.int64)
+        self.x_rank = [np.full(n, -1, dtype=np.int64) for _ in range(target_count)]
+
+    @classmethod
+    def from_iterates(
+        cls,
+        y_iterates: list[np.ndarray],
+        x_iterates: list[list[np.ndarray]],
+        target_count: int,
+    ) -> "ModeTraceLoop":
+        tr = cls(y_iterates[0].shape[0], target_count)
+        for rank in range(1, len(y_iterates)):
+            fresh = y_iterates[rank] & (tr.y_rank < 0)
+            tr.y_rank[fresh] = rank
+        for rank, row in enumerate(x_iterates):
+            for j, x in enumerate(row):
+                fresh = x & (tr.x_rank[j] < 0)
+                tr.x_rank[j][fresh] = rank
+        return tr
+
+
+def same_trace(tr, oracle) -> bool:
+    """Whether two traces hold the same ranks."""
+    if len(tr.x_rank) != len(oracle.x_rank):
+        return False
+    pairs = [(tr.y_rank, oracle.y_rank), *zip(tr.x_rank, oracle.x_rank)]
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
+def recorded_trace_oracle(n: int, rows, bases, x_iterates) -> ModeTraceLoop:
+    """The oracle's ranks of a recorded ``solve_persistence_reach`` result."""
+    ys, xs = full_iterates(n, rows, bases, x_iterates)
+    return ModeTraceLoop.from_iterates(ys, xs, len(rows))

@@ -235,7 +235,9 @@ def test_solve_records_traces_only_for_strategy(g1_files, tmp_path, capsys, monk
 
     def spy(*args):
         calls.append(args)
-        return record(*args)
+        tr = record(*args)
+        assert helpers.same_trace(tr, helpers.recorded_trace_oracle(*args))
+        return tr
 
     monkeypatch.setattr(ModeTrace, "from_iterates", staticmethod(spy))
     game_path, spec_path = g1_files

@@ -3,6 +3,8 @@ the persistence-or-reach subroutine, and iterate-trace recording."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -143,57 +145,166 @@ def test_persistence_warm_seeds_reproduce_value():
         assert warm_cost <= before
 
 
-def test_recorded_iterates_form_increasing_chain():
+# Values of fixpoint.ROW_CHAIN_RATIO that send every persistence set to one
+# inner path: its own rows, or length-n masks (an empty set takes the rows
+# under any value).
+PATHS = {"rows": 0, "masks": 10**12}
+
+
+def force_path(monkeypatch, path):
+    import mtgames.fixpoint
+
+    monkeypatch.setattr(mtgames.fixpoint, "ROW_CHAIN_RATIO", PATHS[path])
+
+
+def rows_of(engine, persist):
+    return [s.rows for s in engine.row_slices(persist)]
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("warm", [False, True])
+def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, path):
+    force_path(monkeypatch, path)
     for seed in range(15):
+        g = helpers.random_graph(seed)
+        p = helpers.random_subset(seed + 11, g.n)
+        q = helpers.random_subset(seed + 33, g.n)
+        reach = helpers.random_subset(seed + 22, g.n).bits
+        persist = block(g.n, p, q)
+        seeds = None
+        if warm:
+            # Any superset of every inner fixed point is a valid seed.
+            cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
+            seeds = [
+                x | helpers.random_subset(seed + 900 + j, g.n).bits
+                for j, x in enumerate(cold.final_x)
+            ]
+        engine = FixpointEngine(g)
+        res = solve_persistence_reach(engine, persist, reach, x_seeds=seeds)
+        value, final_x, *_, calls = helpers.persistence_reach_iterates(g, persist, reach, seeds)
+        assert np.array_equal(res.value, value), seed
+        assert all(map(np.array_equal, res.final_x, final_x)), seed
+        assert engine.stats.pre_count == calls, seed
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_first_inner_step_stays_inside_the_seed(monkeypatch, path):
+    # Player 0 states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to
+    # reach: the inner fixed point is empty, so the seed {0} is valid. Pre of
+    # the seed inside P is {1}, of the seed's size but outside it; the first
+    # step is {1} & {0}, empty, and not {1}.
+    force_path(monkeypatch, path)
+    g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
+    persist = np.array([[True, True, False]])
+    engine = FixpointEngine(g)
+    seeds = [np.array([True, False, False])]
+    res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
+    assert members(res.value) == set() and members(res.final_x[0]) == set()
+    assert engine.stats.pre_count == 3
+
+
+def test_recorded_iterates_form_increasing_chain(monkeypatch):
+    for path, seed in itertools.product(sorted(PATHS), range(15)):
+        force_path(monkeypatch, path)
         g = helpers.random_graph(seed)
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        res = solve_persistence_reach(
-            engine, block(g.n, p, q), reach.bits, record=True
-        )
-        ys = res.y_iterates
+        persist = block(g.n, p, q)
+        res = solve_persistence_reach(engine, persist, reach.bits, record=True)
+        ys, xs = helpers.full_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
         assert not ys[0].any()
         for a, b in zip(ys, ys[1:]):
             # strictly increasing until the fixed point
             assert subset(a, b) and not np.array_equal(a, b)
         assert np.array_equal(ys[-1], res.value)
-        assert len(res.x_iterates) == len(ys) - 1
-        for row in res.x_iterates:
+        assert len(xs) == len(ys) - 1
+        for row in xs:
             assert len(row) == 2
             for x in row:
                 assert subset(x, res.value)
+        # The chains are the plain loop's, mask for mask.
+        _, _, ref_ys, ref_bases, ref_xs, _ = helpers.persistence_reach_iterates(
+            g, persist, reach.bits
+        )
+        assert len(ys) == len(ref_ys) and len(res.bases) == len(ref_bases)
+        assert all(np.array_equal(a, b) for a, b in zip(ys, ref_ys))
+        assert all(np.array_equal(a, b) for a, b in zip(res.bases, ref_bases))
+        for row, ref_row in zip(xs, ref_xs, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(row, ref_row, strict=True))
 
 
-def test_mode_trace_ranks_reconstruct_iterates():
-    for seed in range(15):
+def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
+    # With two sets they overlap, and a state's y rank may come from either.
+    for path, sets, seed in itertools.product(sorted(PATHS), (1, 2), range(15)):
+        force_path(monkeypatch, path)
         g = helpers.random_graph(seed)
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
+        q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        res = solve_persistence_reach(engine, block(g.n, p), reach.bits, record=True)
-        tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
-        assert tr.target_count == 1
-        for rank, y in enumerate(res.y_iterates):
+        persist = block(g.n, *(p, q)[:sets])
+        res = solve_persistence_reach(engine, persist, reach.bits, record=True)
+        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
+        assert tr.target_count == sets
+        _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach.bits)
+        assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, sets))
+        for rank, y in enumerate(ys):
             assert np.array_equal((tr.y_rank >= 1) & (tr.y_rank <= rank), y)
         assert np.array_equal(tr.y_rank >= 1, res.value)
-        for rank, row in enumerate(res.x_iterates):
-            xr = tr.x_rank[0]
-            assert np.array_equal((xr >= 0) & (xr <= rank), row[0])
+        for rank, row in enumerate(xs):
+            for xr, x in zip(tr.x_rank, row, strict=True):
+                assert np.array_equal((xr >= 0) & (xr <= rank), x)
 
 
-def test_mode_trace_handles_immediate_convergence():
+def test_mode_trace_handles_immediate_convergence(monkeypatch):
     g = helpers.g2()
-    engine = FixpointEngine(g)
-    res = solve_persistence_reach(
-        engine, np.zeros((1, 2), dtype=bool), np.zeros(2, bool), record=True
-    )
-    assert len(res.y_iterates) == 1
-    tr = ModeTrace.from_iterates(res.y_iterates, res.x_iterates, 1)
-    assert not (tr.y_rank >= 1).any()
-    assert not (tr.x_rank[0] >= 0).any()
-    assert tr.target_count == 1
+    persist = np.zeros((1, 2), dtype=bool)
+    oracle = helpers.ModeTraceLoop.from_iterates([np.zeros(2, dtype=bool)], [], 1)
+    for path in sorted(PATHS):
+        force_path(monkeypatch, path)
+        engine = FixpointEngine(g)
+        res = solve_persistence_reach(engine, persist, np.zeros(2, bool), record=True)
+        assert len(res.bases) == 0 and len(res.x_iterates) == 0
+        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
+        assert not (tr.y_rank >= 1).any()
+        assert not (tr.x_rank[0] >= 0).any()
+        assert tr.target_count == 1
+        assert helpers.same_trace(tr, oracle)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_inner_iterates_are_base_and_their_part_in_the_set(warm):
+    # X_l = base_l | (X_l & P_j) for every recorded rank l and set j, and
+    # both base_l and X_l & P_j grow with l: what the inner chains on P's
+    # rows and the rank build rely on. Checked on the plain loop, which
+    # assumes neither.
+    from mtgames.benchgen import gen_random_game
+
+    ranks = set()
+    for seed in range(6):
+        game, spec = gen_random_game(60, 3, [2, 1, 2], 2.0, seed)
+        persist, exits = _bound_parts(game, spec)
+        for i, block_i in enumerate(persist):
+            # Warm seeds: the inner fixed points of a run with more to reach.
+            seeds = None
+            if warm:
+                seeds = helpers.persistence_reach_iterates(game, block_i, exits[i])[1]
+            reach = exits[i] & helpers.random_subset(seed + 70 + i, game.n).bits
+            _, _, ys, bases, xs, _ = helpers.persistence_reach_iterates(
+                game, block_i, reach, seeds
+            )
+            assert len(bases) == len(xs) == len(ys) - 1
+            ranks.add(len(bases))
+            for l, (base, row) in enumerate(zip(bases, xs)):
+                for p, x in zip(block_i, row):
+                    assert np.array_equal(x, base | (x & p)), (seed, i, l)
+                if l:
+                    assert subset(bases[l - 1], base), (seed, i, l)
+                    for p, before, x in zip(block_i, xs[l - 1], row):
+                        assert subset(before & p, x & p), (seed, i, l)
+    assert max(ranks) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +360,11 @@ def test_traces_are_built_only_in_rounds_that_leave_z_unchanged(monkeypatch, war
     built = []
     original = ModeTrace.from_iterates
 
-    def counted(y_iterates, x_iterates, target_count):
-        built.append(target_count)
-        return original(y_iterates, x_iterates, target_count)
+    def counted(n, rows, bases, x_iterates):
+        built.append(len(rows))
+        tr = original(n, rows, bases, x_iterates)
+        assert helpers.same_trace(tr, helpers.recorded_trace_oracle(n, rows, bases, x_iterates))
+        return tr
 
     monkeypatch.setattr(ModeTrace, "from_iterates", counted)
     game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0)
@@ -262,24 +375,80 @@ def test_traces_are_built_only_in_rounds_that_leave_z_unchanged(monkeypatch, war
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_kept_traces_match_a_fresh_run_against_the_winning_set(warm):
+def test_kept_traces_match_a_fresh_run_against_the_winning_set(monkeypatch, warm):
     from mtgames.benchgen import gen_random_game
 
-    for seed in range(6):
+    for path, seed in itertools.product(sorted(PATHS), range(6)):
+        force_path(monkeypatch, path)
         game, spec = gen_random_game(60, 3, [2, 1, 2], 2.0, seed)
         persist, exits = _bound_parts(game, spec)
         out = solve_stable_conjunction(game, persist, exits, warm=warm, record=True)
         pre_z = FixpointEngine(game).pre(out.winning)
         for i, tr in enumerate(out.traces):
-            res = solve_persistence_reach(
-                FixpointEngine(game), persist[i], exits[i] & pre_z, record=True
+            _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(
+                game, persist[i], exits[i] & pre_z
             )
-            fresh = ModeTrace.from_iterates(
-                res.y_iterates, res.x_iterates, len(persist[i])
+            fresh = helpers.ModeTraceLoop.from_iterates(ys, xs, len(persist[i]))
+            assert helpers.same_trace(tr, fresh), (seed, i)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
+def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
+    # Every persistence set forced onto its rows, then onto length-n masks:
+    # the same value and inner fixed points from every persistence-or-reach
+    # run, the same work and winning set, and traces equal to the oracle's.
+    import mtgames.fixpoint
+    from mtgames.benchgen import gen_random_game
+
+    runs = []
+    original = mtgames.fixpoint.solve_persistence_reach
+
+    def kept(*args, **kwargs):
+        res = original(*args, **kwargs)
+        runs.append((res.value, res.final_x))
+        return res
+
+    monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", kept)
+    on_rows = []
+    chain = mtgames.fixpoint._chain_on_rows
+    monkeypatch.setattr(
+        mtgames.fixpoint,
+        "_chain_on_rows",
+        lambda engine, rows, *args: on_rows.append(rows.rows.size) or chain(engine, rows, *args),
+    )
+    rounds = set()
+    for seed in range(4):
+        game, spec = gen_random_game(80, 4, [3, 1, 2, 1], 2.0, seed)
+        got = {}
+        for path in sorted(PATHS):
+            force_path(monkeypatch, path)
+            runs.clear()
+            on_rows.clear()
+            result = _solve(algo, game, spec, warm)
+            rounds.add(result.stats.outer_iterations)
+            # Only an empty set takes the rows when masks are forced.
+            assert on_rows if path == "rows" else not any(on_rows)
+            got[path] = (result, list(runs))
+        (rows, rows_runs), (masks, masks_runs) = got["rows"], got["masks"]
+        assert rows.stats.pre_count == masks.stats.pre_count, seed
+        assert rows.stats.outer_iterations == masks.stats.outer_iterations, seed
+        assert rows.winning == masks.winning, seed
+        assert len(rows_runs) == len(masks_runs) > 0
+        for (value, final_x), (value_m, final_x_m) in zip(rows_runs, masks_runs):
+            assert np.array_equal(value, value_m), seed
+            assert all(map(np.array_equal, final_x, final_x_m)), seed
+        if algo != "mt":
+            continue
+        persist, exits = _bound_parts(game, spec)
+        pre_z = FixpointEngine(game).pre(rows.winning.bits)
+        for i, (tr, tr_m) in enumerate(zip(rows.trace, masks.trace, strict=True)):
+            _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(
+                game, persist[i], exits[i] & pre_z
             )
-            assert np.array_equal(tr.y_rank, fresh.y_rank), (seed, i)
-            for xr, fresh_xr in zip(tr.x_rank, fresh.x_rank, strict=True):
-                assert np.array_equal(xr, fresh_xr), (seed, i)
+            oracle = helpers.ModeTraceLoop.from_iterates(ys, xs, len(persist[i]))
+            assert helpers.same_trace(tr, oracle) and helpers.same_trace(tr_m, oracle)
+    assert max(rounds) >= 3
 
 
 def test_driver_warm_matches_cold():

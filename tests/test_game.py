@@ -160,8 +160,11 @@ def test_pre_matches_where_kernel_on_random_graphs():
         for within in (p, StateSet.empty(g.n), StateSet.full(g.n)):
             got = restricted_pre(g, s, within)
             assert got == expected & within, f"seed {seed}"
+            # A mask, or its int32 form, gives one value per row of the slice.
             rows = g.row_slice(within.bits)
-            assert np.array_equal(pre(g, s.bits, within=rows), got.bits)
+            assert np.array_equal(pre(g, s.bits, within=rows), got.bits[rows.rows])
+            ints = s.bits.astype(np.int32)
+            assert np.array_equal(pre(g, ints, within=rows), got.bits[rows.rows])
 
 
 def test_pre_on_states_without_successor():
