@@ -106,6 +106,10 @@ class FixpointEngine:
 # n/100 states, 6 at n=600.
 ROW_CHAIN_RATIO = 100
 
+# The first iterate X_0 of an inner chain: in the kernel's int32 form, as a
+# mask and on its set's rows (both None for the full set), and its size.
+_Start = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]
+
 
 @dataclass
 class PersistenceReachResult:
@@ -115,21 +119,20 @@ class PersistenceReachResult:
     final_x:    per persistence set, the inner fixed point at the last
                 (stabilized) iteration; valid warm seeds for a later run
                 against a smaller outer set.
-    bases:      per recorded rank l (0-based), base_l = Pre(Y_l) | reach,
-                where Y_0 is empty (when recording).
-    x_iterates: per recorded rank l, per persistence set P_j, the inner
-                fixed point X_l computed against Y_l, given by X_l & P_j on
-                P_j's rows for a set iterated on its rows and as a length-n
-                mask otherwise. X_l = base_l | (X_l & P_j), and Y_(l+1) is
-                the union of base_l and the row's X_l.
+    bases:      per rank l (0-based) that grew Y, base_l = Pre(Y_l) | reach,
+                where Y_0 is empty.
+    x_iterates: per rank l, per persistence set P_j, X_l & P_j on P_j's
+                rows, where X_l is the inner fixed point computed against
+                Y_l. X_l = base_l | (X_l & P_j), and Y_(l+1) is the union of
+                base_l and the row's X_l.
 
     No mask here is changed after it is stored.
     """
 
     value: np.ndarray
     final_x: list[np.ndarray]
-    bases: list[np.ndarray] | None = None
-    x_iterates: list[list[np.ndarray]] | None = None
+    bases: list[np.ndarray]
+    x_iterates: list[list[np.ndarray]]
 
 
 def solve_persistence_reach(
@@ -138,7 +141,6 @@ def solve_persistence_reach(
     reach_mask: np.ndarray,
     *,
     x_seeds: Sequence[np.ndarray] | None = None,
-    record: bool = False,
 ) -> PersistenceReachResult:
     """States from which Player 0 forces: settle forever inside one of
     the persistence sets (the rows of ``persist_block``, t x n), or reach
@@ -156,43 +158,35 @@ def solve_persistence_reach(
 
     With base = Pre(Y) | reach, every inner iterate after the first is
     base | (X & P): base lies in every seed and every iterate, and the
-    Pre term adds states of P only. So after the first step only P's
-    rows change, and a set small against the game (``ROW_CHAIN_RATIO``)
-    is iterated on its rows alone.
+    Pre term adds states of P only. So each inner chain starts from X_0
+    and gives X & P on P's rows; a set small against the game
+    (``ROW_CHAIN_RATIO``) is iterated on its rows alone, any other on
+    length-n masks.
 
-    ``x_seeds`` warm-starts the inner fixed points; each seed must
-    dominate every inner fixed point of this run.
+    ``x_seeds`` warm-starts the inner fixed points, one seed per set;
+    each seed must dominate every inner fixed point of this run.
     """
-    # An inner iterate never grows (it is intersected with its predecessor),
-    # so an unchanged size means an unchanged set. Pre(X) & P is evaluated on
-    # P's rows only.
     n = engine.game.n
-    seeds = x_seeds or ()
     if persist_block.shape[1:] != (n,) or any(
-        b.shape != (n,) for b in (reach_mask, *seeds)
+        b.shape != (n,) for b in (reach_mask, *(x_seeds or ()))
     ):
         raise ValueError("set universe does not match game")
+    if x_seeds is not None and len(x_seeds) != len(persist_block):
+        raise ValueError(f"{len(x_seeds)} seeds for {len(persist_block)} persistence sets")
     slices = engine.row_slices(persist_block)
-    full = np.ones(n, dtype=bool)
-    # Per set iterated on its rows, its first iterate X_0: in the kernel's
-    # int32 form, on its rows (None for the full set) and its size.
-    starts: list[tuple[np.ndarray, np.ndarray | None, int] | None] = []
-    ones = None
-    for j, rows in enumerate(slices):
-        if rows.rows.size * ROW_CHAIN_RATIO > n:
-            starts.append(None)
-        elif seeds:
-            seed = seeds[j]
-            starts.append((seed.astype(np.int32), seed[rows.rows], np.count_nonzero(seed)))
-        else:
-            if ones is None:
-                ones = full.astype(np.int32)
-            starts.append((ones, None, n))
+    starts: list[_Start]
+    if x_seeds is None:
+        starts = [(np.ones(n, dtype=np.int32), None, None, n)] * len(slices)
+    else:
+        starts = [
+            (seed.astype(np.int32), seed, seed[rows.rows], np.count_nonzero(seed))
+            for seed, rows in zip(x_seeds, slices)
+        ]
     y = np.zeros(n, dtype=bool)
     # Y only grows along the chain, so Pre(Y) is tracked from the empty set.
     y_counts = engine.game.pre_tracker(full=False)
-    bases: list[np.ndarray] | None = [] if record else None
-    x_iterates: list[list[np.ndarray]] | None = [] if record else None
+    bases: list[np.ndarray] = []
+    x_iterates: list[list[np.ndarray]] = []
 
     while True:
         base = engine.pre(y, tracker=y_counts)
@@ -202,38 +196,24 @@ def solve_persistence_reach(
         # their rows: base, with the rows of the set being iterated patched.
         x_int = None
         x_row: list[np.ndarray] = []
-        for j, rows in enumerate(slices):
-            if starts[j] is not None:
+        for rows, start in zip(slices, starts):
+            if rows.rows.size * ROW_CHAIN_RATIO <= n:
                 if x_int is None:
                     x_int, base_size = base.astype(np.int32), np.count_nonzero(base)
-                x = _chain_on_rows(engine, rows, base, x_int, base_size, *starts[j])
+                x = _chain_on_rows(engine, rows, base, x_int, base_size, start)
                 new_y[rows.rows[x]] = True
-                x_row.append(x)
-                continue
-            x = seeds[j] if seeds else full
-            size = np.count_nonzero(x)
-            while True:
-                nxt = np.zeros(n, dtype=bool)
-                nxt[rows.rows] = engine.pre(x, within=rows)
-                nxt |= base
-                nxt &= x
-                nxt_size = np.count_nonzero(nxt)
-                if nxt_size == size:
-                    break
-                x, size = nxt, nxt_size
+            else:
+                x = _chain_on_masks(engine, rows, base, new_y, start)
             x_row.append(x)
-            new_y |= x
         if np.array_equal(new_y, y):
             break
         y = new_y
-        if record:
-            bases.append(base)
-            x_iterates.append(x_row)
+        bases.append(base)
+        x_iterates.append(x_row)
     final_x = []
-    for x, rows, start in zip(x_row, slices, starts):
-        if start is not None:
-            x, on_rows = base.copy(), x
-            x[rows.rows] = on_rows
+    for rows, on_rows in zip(slices, x_row):
+        x = base.copy()
+        x[rows.rows] = on_rows
         final_x.append(x)
     return PersistenceReachResult(y, final_x, bases, x_iterates)
 
@@ -244,19 +224,19 @@ def _chain_on_rows(
     base: np.ndarray,
     x_int: np.ndarray,
     base_size: int,
-    start: np.ndarray,
-    start_rows: np.ndarray | None,
-    start_size: int,
+    start: _Start,
 ) -> np.ndarray:
     """X & P on P's rows (``rows``) of the greatest fixed point of
-    X -> (Pre(X) & P) | base below X_0 (``start``, its rows and its size).
+    X -> (Pre(X) & P) | base below X_0 (``start``: X_0 in int32, as a mask,
+    on P's rows and its size).
 
     ``x_int`` is base in int32; P's rows hold X while the chain runs and
     base again when it returns."""
+    start_int, _, start_rows, start_size = start
     r = rows.rows
     base_rows = base[r]
     # X_1 = base | (Pre(X_0) & X_0 & P); it equals X_0 iff their sizes do.
-    x = engine.pre(start, within=rows)
+    x = engine.pre(start_int, within=rows)
     if start_rows is not None:
         x &= start_rows
     x |= base_rows
@@ -277,6 +257,33 @@ def _chain_on_rows(
     return x
 
 
+def _chain_on_masks(
+    engine: FixpointEngine,
+    rows: RowSlice,
+    base: np.ndarray,
+    new_y: np.ndarray,
+    start: _Start,
+) -> np.ndarray:
+    """:func:`_chain_on_rows` on length-n masks: X & P on P's rows of the
+    same greatest fixed point, whose X is ORed into ``new_y``."""
+    x, bound, _, size = start
+    # An inner iterate never grows, so an unchanged size means an unchanged
+    # set.
+    while True:
+        nxt = np.zeros(base.size, dtype=bool)
+        nxt[rows.rows] = engine.pre(x, within=rows)
+        nxt |= base
+        if bound is not None:
+            nxt &= bound
+        nxt_size = np.count_nonzero(nxt)
+        if nxt_size == size:
+            break
+        x = bound = nxt
+        size = nxt_size
+    new_y |= nxt
+    return nxt[rows.rows]
+
+
 # ---------------------------------------------------------------------------
 # Iterate traces
 
@@ -289,7 +296,7 @@ class ModeTrace:
     1 <= y_rank[v] <= l (Y_0 is empty), and membership in the inner fixed
     point of target j computed against Y_l to 0 <= x_rank[j][v] <= l, so
     the full set chains are reconstructible without storing every iterate.
-    :meth:`from_iterates` builds both from what a run records per Y-step:
+    :meth:`from_iterates` builds both from what a run keeps per Y-step:
     base = Pre(Y) | reach over all states, and each inner fixed point on
     its persistence set's rows.
     """
@@ -305,8 +312,8 @@ class ModeTrace:
         bases: list[np.ndarray],
         x_iterates: list[list[np.ndarray]],
     ) -> "ModeTrace":
-        """The ranks of a recorded :func:`solve_persistence_reach` run over
-        n states, whose persistence set j holds the states ``rows[j]``.
+        """The ranks of a :func:`solve_persistence_reach` result over n
+        states, whose persistence set j holds the states ``rows[j]``.
 
         The chains base_l and X_l & P_j both grow with l, and
         X_l = base_l | (X_l & P_j), so a state's x rank is its rank in
@@ -318,9 +325,7 @@ class ModeTrace:
         least = base_rank.copy()
         x_rank = []
         for j, r in enumerate(rows):
-            # A length-n mask of a set of n states is already on its rows.
-            chain = [row[j] if row[j].size == r.size else row[j][r] for row in x_iterates]
-            on_rows = _first_ranks(chain, r.size)
+            on_rows = _first_ranks([row[j] for row in x_iterates], r.size)
             least[r] = np.minimum(least[r], on_rows)
             xr = base_rank.copy()
             xr[r] = on_rows
@@ -399,9 +404,7 @@ def solve_stable_conjunction(
         pre_z = engine.pre(z, tracker=z_counts)
         new_z = z.copy()
         for i, block in enumerate(persist_blocks):
-            res = solve_persistence_reach(
-                engine, block, exit_masks[i] & pre_z, x_seeds=seeds[i], record=record
-            )
+            res = solve_persistence_reach(engine, block, exit_masks[i] & pre_z, x_seeds=seeds[i])
             if warm:
                 seeds[i] = res.final_x
             new_z &= res.value

@@ -244,31 +244,6 @@ class GameGraph:
         csr_matvec(out.size, self._n, indptr, indices, data, vector, out)
         return out
 
-    def count_successors_in(self, mask: np.ndarray) -> np.ndarray:
-        """Per-state count of successors inside the given boolean mask."""
-        return self._counts(self._indptr, self._indices, mask)
-
-    def pre_mask(
-        self,
-        mask: np.ndarray,
-        within: RowSlice | None = None,
-        tracker: PreTracker | None = None,
-    ) -> np.ndarray:
-        """Controllable predecessor of a length-n boolean mask, as a fresh
-        mask; see :func:`pre`. With ``within`` only the slice's rows are
-        evaluated, and the result has one value per row of the slice;
-        ``mask`` may then also be the mask's 0/1 int32 form, which the
-        kernel reads with no conversion. With ``tracker``, one from
-        :meth:`pre_tracker`, the whole graph's successor counts are the
-        tracker's, brought up to date to ``mask``."""
-        if tracker is not None:
-            if within is not None:
-                raise ValueError("a tracked Pre is over the whole graph")
-            return tracker.counts(mask) > self._pre_floor
-        if within is None:
-            return self.count_successors_in(mask) > self._pre_floor
-        return self._counts(within.indptr, within.indices, mask) > within.floor
-
     def row_slice(self, mask: np.ndarray) -> RowSlice:
         """The successor rows and Pre floors of the states in a length-n
         boolean mask, for a Pre that is only wanted inside that mask."""
@@ -391,7 +366,7 @@ class PreTracker:
         if not changes:
             return self._counts
         if changes > _RECOUNT_SHARE * game.n:
-            self._counts = game.count_successors_in(mask)
+            self._counts = game._counts(game._indptr, game._indices, mask)
         else:
             indptr, sources, indegree = game._in_edges
             # scipy's row copy wants the states in the CSR's dtype.
@@ -465,11 +440,21 @@ def pre(
     in-edges of the states that joined or left ``target`` since the
     tracker's last call.
     """
+    mask = target
+    if isinstance(target, StateSet):
+        if target.universe != game.n:
+            raise ValueError("target universe does not match game")
+        mask = target.bits
+    if tracker is not None:
+        if within is not None:
+            raise ValueError("a tracked Pre is over the whole graph")
+        got = tracker.counts(mask) > game._pre_floor
+    elif within is None:
+        got = game._counts(game._indptr, game._indices, mask) > game._pre_floor
+    else:
+        got = game._counts(within.indptr, within.indices, mask) > within.floor
     if not isinstance(target, StateSet):
-        return game.pre_mask(target, within, tracker)
-    if target.universe != game.n:
-        raise ValueError("target universe does not match game")
-    got = game.pre_mask(target.bits, within, tracker)
+        return got
     if within is None:
         return StateSet._wrap(got)
     out = np.zeros(game.n, dtype=bool)

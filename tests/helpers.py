@@ -614,17 +614,16 @@ def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
 
 
 def full_iterates(n: int, rows, bases, x_iterates):
-    """(y_iterates, x_iterates as length-n masks) of a recorded
+    """(y_iterates, x_iterates as length-n masks) of a
     ``solve_persistence_reach`` result, whose persistence set j holds the
     states ``rows[j]``: X_l = base_l | (X_l & P_j), and Y_(l+1) is base_l
     with the row's X_l."""
     ys, xs = [np.zeros(n, dtype=bool)], []
     for base, row in zip(bases, x_iterates):
         full_row = []
-        for r, x in zip(rows, row):
-            if x.size != n:
-                x, on_rows = base.copy(), x
-                x[r] = on_rows
+        for r, on_rows in zip(rows, row):
+            x = base.copy()
+            x[r] = on_rows
             full_row.append(x)
         y = base.copy()
         for x in full_row:
@@ -669,6 +668,6 @@ def same_trace(tr, oracle) -> bool:
 
 
 def recorded_trace_oracle(n: int, rows, bases, x_iterates) -> ModeTraceLoop:
-    """The oracle's ranks of a recorded ``solve_persistence_reach`` result."""
+    """The oracle's ranks of a ``solve_persistence_reach`` result."""
     ys, xs = full_iterates(n, rows, bases, x_iterates)
     return ModeTraceLoop.from_iterates(ys, xs, len(rows))

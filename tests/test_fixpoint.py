@@ -101,6 +101,16 @@ def test_persistence_rejects_sets_of_another_universe(g2_game):
         )
 
 
+def test_persistence_rejects_a_seed_count_other_than_the_set_count(g2_game):
+    engine = FixpointEngine(g2_game)
+    persist = np.ones((2, 2), dtype=bool)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="seeds for 2 persistence sets"):
+            solve_persistence_reach(
+                engine, persist, np.zeros(2, bool), x_seeds=[np.ones(2, dtype=bool)] * count
+            )
+
+
 def test_persistence_frozen_g2(g2_game):
     engine = FixpointEngine(g2_game)
     res = solve_persistence_reach(engine, block(2, StateSet(2, [1])), np.zeros(2, bool))
@@ -212,7 +222,7 @@ def test_recorded_iterates_form_increasing_chain(monkeypatch):
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, p, q)
-        res = solve_persistence_reach(engine, persist, reach.bits, record=True)
+        res = solve_persistence_reach(engine, persist, reach.bits)
         ys, xs = helpers.full_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
         assert not ys[0].any()
         for a, b in zip(ys, ys[1:]):
@@ -245,7 +255,7 @@ def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, *(p, q)[:sets])
-        res = solve_persistence_reach(engine, persist, reach.bits, record=True)
+        res = solve_persistence_reach(engine, persist, reach.bits)
         tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
         assert tr.target_count == sets
         _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach.bits)
@@ -265,13 +275,45 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
     for path in sorted(PATHS):
         force_path(monkeypatch, path)
         engine = FixpointEngine(g)
-        res = solve_persistence_reach(engine, persist, np.zeros(2, bool), record=True)
+        res = solve_persistence_reach(engine, persist, np.zeros(2, bool))
         assert len(res.bases) == 0 and len(res.x_iterates) == 0
         tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
         assert not (tr.y_rank >= 1).any()
         assert not (tr.x_rank[0] >= 0).any()
         assert tr.target_count == 1
         assert helpers.same_trace(tr, oracle)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("warm", [False, True])
+def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, path):
+    # An empty set, the full set and random ones: on either path every inner
+    # fixed point comes back as X & P_j on P_j's rows, and final_x and the
+    # trace built from them are the plain loop's.
+    force_path(monkeypatch, path)
+    for seed in range(10):
+        g = helpers.random_graph(seed)
+        sets = [StateSet.empty(g.n), StateSet.full(g.n)]
+        sets += [helpers.random_subset(seed + 11 * k, g.n) for k in (1, 3)]
+        persist = block(g.n, *sets)
+        reach = helpers.random_subset(seed + 22, g.n).bits
+        seeds = None
+        if warm:
+            cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
+            seeds = [
+                x | helpers.random_subset(seed + 900 + j, g.n).bits
+                for j, x in enumerate(cold.final_x)
+            ]
+        engine = FixpointEngine(g)
+        res = solve_persistence_reach(engine, persist, reach, x_seeds=seeds)
+        rows = rows_of(engine, persist)
+        sizes = [r.size for r in rows]
+        assert sizes[:2] == [0, g.n]
+        assert all([x.size for x in row] == sizes for row in res.x_iterates), seed
+        _, final_x, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach, seeds)
+        assert all(map(np.array_equal, res.final_x, final_x)), seed
+        tr = ModeTrace.from_iterates(g.n, rows, res.bases, res.x_iterates)
+        assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, len(sets)))
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -647,7 +689,7 @@ def test_every_tracked_pre_equals_the_full_pre(monkeypatch, algo, warm):
             )
         got = original(game, mask, within=within, tracker=tracker)
         if tracker is not None:
-            assert np.array_equal(got, game.pre_mask(mask)), len(steps)
+            assert np.array_equal(got, mtgames.game.pre(game, mask)), len(steps)
         return got
 
     monkeypatch.setattr(mtgames.fixpoint, "pre", checked)
@@ -673,13 +715,16 @@ def test_tracker_follows_sets_that_grow_and_shrink_at_once():
     from mtgames.game import PreTracker
 
     game, _ = gen_random_game(300, 2, [1, 1], 3.0, 4)
+    src, dst = game.edge_arrays
     rng = np.random.default_rng(0)
     for full in (False, True):
         tracker = PreTracker(game, full)
         mask = np.full(game.n, full)
         for share in (0.01, 0.05, 0.2, 0.6, 0.0, 0.1):
             mask = mask ^ (rng.random(game.n) < share)
-            assert np.array_equal(tracker.counts(mask), game.count_successors_in(mask))
+            # Each state's count of successors in the mask, edge by edge.
+            counts = np.bincount(src[mask[dst]], minlength=game.n)
+            assert np.array_equal(tracker.counts(mask), counts)
 
 
 def test_only_graphs_above_the_edge_constant_are_tracked(monkeypatch):

@@ -502,4 +502,4 @@ def test_load_rejects_state_count_above_bound():
 
 def test_count_successors_in(g2_game):
     mask = np.array([False, True])
-    assert g2_game.count_successors_in(mask).tolist() == [1, 1]
+    assert PreTracker(g2_game, full=False).counts(mask).tolist() == [1, 1]
