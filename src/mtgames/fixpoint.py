@@ -89,25 +89,28 @@ class FixpointEngine:
 # least this many times |P| states, and on length-n masks otherwise. On its
 # rows a chain makes a few more numpy calls (gathers and scatters of P's
 # rows) but no pass over all n states, which pays only when n is large
-# against |P|. Time of one recorded solve_persistence_reach on P's rows over
-# its time on length-n masks, for one random P on random games of density 2
-# with 2% of the states to reach (2-core x86-64 VM, medians of 15, the range
-# of two sweeps):
+# against |P|. Time of one cold solve_persistence_reach, with its ranks, on
+# P's rows over its time on length-n masks, for one random P on random games
+# of density 2 with 2% of the states to reach; both paths read their first
+# step from the out-degrees (2-core x86-64 VM, medians of 15, the range of
+# two sweeps):
 #
 #   n \ n/|P|  10         25         50         100        200        400
-#   600        1.06-1.31  0.98-1.04  1.05-1.06  1.05       1.03-1.06  1.14-1.16
-#   2000       1.04-1.05  1.03       1.02-1.03  1.00-1.01  1.00-1.02  1.00-1.03
-#   5000       1.03       1.00-1.01  0.99-1.04  0.95-1.01  0.95-0.96  0.96-0.97
-#   10000      1.01-1.03  0.96-0.97  0.92-0.95  0.93-0.94  0.80-0.92  0.88-0.91
-#   20000      1.00-1.05  0.92-1.06  0.85-0.91  0.84-0.88  0.87-0.93  0.79-0.91
+#   600        1.10-1.11  1.09-1.10  1.00-1.08  1.08-1.15  1.03-1.07  1.19
+#   2000       1.05-1.06  1.03       0.97-1.08  1.02       1.04-1.13  0.99-1.06
+#   5000       1.04-1.08  1.08-1.20  0.98-1.01  1.02-1.04  0.98-1.02  1.01-1.08
+#   10000      1.06-1.08  1.00-1.06  0.89-0.98  0.94-0.98  0.95-0.98  0.96-0.98
+#   20000      1.02-1.05  0.89-1.01  0.87-0.91  0.90-0.94  0.91-0.93  0.90
 #
-# Below about 5000 states a numpy call costs the same whatever its length,
+# Up to about 5000 states a numpy call costs the same whatever its length,
 # and the rows lose a few percent; there the rule admits sets of at most
 # n/100 states, 6 at n=600.
 ROW_CHAIN_RATIO = 100
 
-# The first iterate X_0 of an inner chain: in the kernel's int32 form, as a
-# mask and on its set's rows (both None for the full set), and its size.
+# The first iterate X_0 of an inner chain: as Pre reads it (the graph's
+# shared every_state mask for the full set, whose Pre needs no count, else
+# its int32 form), as a mask and on its set's rows (both None for the full
+# set), and its size.
 _Start = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]
 
 
@@ -161,12 +164,16 @@ def solve_persistence_reach(
     Pre term adds states of P only. So each inner chain starts from X_0
     and gives X & P on P's rows; a set small against the game
     (``ROW_CHAIN_RATIO``) is iterated on its rows alone, any other on
-    length-n masks.
+    length-n masks. A cold chain starts from the graph's ``every_state``
+    and Y from its ``no_state``, so that the first Pre of each chain is read
+    from the out-degrees rather than counted by the kernel; both stay one
+    counted Pre.
 
     ``x_seeds`` warm-starts the inner fixed points, one seed per set;
     each seed must dominate every inner fixed point of this run.
     """
-    n = engine.game.n
+    game = engine.game
+    n = game.n
     if persist_block.shape[1:] != (n,) or any(
         b.shape != (n,) for b in (reach_mask, *(x_seeds or ()))
     ):
@@ -176,15 +183,16 @@ def solve_persistence_reach(
     slices = engine.row_slices(persist_block)
     starts: list[_Start]
     if x_seeds is None:
-        starts = [(np.ones(n, dtype=np.int32), None, None, n)] * len(slices)
+        starts = [(game.every_state, None, None, n)] * len(slices)
     else:
         starts = [
             (seed.astype(np.int32), seed, seed[rows.rows], np.count_nonzero(seed))
             for seed, rows in zip(x_seeds, slices)
         ]
-    y = np.zeros(n, dtype=bool)
-    # Y only grows along the chain, so Pre(Y) is tracked from the empty set.
-    y_counts = engine.game.pre_tracker(full=False)
+    y = game.no_state
+    # Y only grows along the chain, so Pre(Y) is tracked from the empty set;
+    # Pre of no_state leaves the tracker there.
+    y_counts = game.pre_tracker(full=False)
     bases: list[np.ndarray] = []
     x_iterates: list[list[np.ndarray]] = []
 
@@ -334,10 +342,6 @@ class ModeTrace:
         least += 1
         least[least > steps] = -1
         return cls(least, x_rank)
-
-    @property
-    def target_count(self) -> int:
-        return len(self.x_rank)
 
 
 def _first_ranks(chain: list[np.ndarray], size: int) -> np.ndarray:

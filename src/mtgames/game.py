@@ -11,7 +11,9 @@ int32 while the edge count fits, int64 beyond). Pre counts each state's
 successors inside a set with scipy's compiled CSR matrix-vector kernel,
 called on those arrays directly. A :class:`RowSlice` holds the same
 arrays for the rows of a state set, as plain index arrays, so that Pre
-inside that set reads its rows alone.
+inside that set reads its rows alone. Pre of the graph's shared masks of
+every state and of no state is read from the out-degrees and needs no
+count at all.
 
 A set that changes by few states from one Pre to the next, as Y along a
 least fixed-point chain or Z across the outer rounds, can instead keep
@@ -173,6 +175,13 @@ class GameGraph:
         # state with no successor has -1, so it is in every Pre. int32 like
         # the successor counts, so the comparison needs no cast.
         self._pre_floor = np.where(self._is_p0, 0, self._outdeg - 1).astype(np.int32)
+        # The sets of every state and of no state, shared and read-only, and
+        # Pre of the former: pre answers them from the graph alone.
+        self._every_state = np.ones(n, dtype=bool)
+        self._no_state = np.zeros(n, dtype=bool)
+        self._pre_every = self._outdeg > self._pre_floor
+        for arr in (self._every_state, self._no_state, self._pre_every):
+            arr.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -187,6 +196,18 @@ class GameGraph:
         """Read-only (sources, targets) of every edge, sorted by source and
         then target: the successor lists laid end to end."""
         return self._src, self._dst
+
+    @property
+    def every_state(self) -> np.ndarray:
+        """The read-only mask of every state; :func:`pre` answers it from the
+        out-degrees, with no kernel call."""
+        return self._every_state
+
+    @property
+    def no_state(self) -> np.ndarray:
+        """The read-only mask of no state; :func:`pre` answers it from the
+        Pre floors, with no kernel call."""
+        return self._no_state
 
     @property
     def props(self) -> tuple[str, ...]:
@@ -256,7 +277,9 @@ class GameGraph:
         # (int64, which numpy indexes with no conversion).
         shift = np.repeat(self._indptr[rows] - indptr[:-1], degree)
         at = shift + np.arange(indptr[-1], dtype=np.int64)
-        return RowSlice(rows, indptr, self._indices[at], self._pre_floor[rows])
+        return RowSlice(
+            rows, indptr, self._indices[at], self._pre_floor[rows], self._pre_every[rows]
+        )
 
     def pre_tracker(self, full: bool) -> PreTracker | None:
         """A :class:`PreTracker` of a set that starts with every state
@@ -322,13 +345,14 @@ class GameGraph:
 @dataclass(frozen=True)
 class RowSlice:
     """The successor lists and Pre floors of the states ``rows``, as CSR
-    rows ``indptr``/``indices`` in the graph's index dtype; built by
-    :meth:`GameGraph.row_slice`."""
+    rows ``indptr``/``indices`` in the graph's index dtype, and their part
+    of Pre of every state; built by :meth:`GameGraph.row_slice`."""
 
     rows: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     floor: np.ndarray
+    pre_every: np.ndarray
 
 
 class PreTracker:
@@ -361,6 +385,9 @@ class PreTracker:
         # bounds.
         if mask.shape != self._mask.shape:
             raise ValueError(f"mask of shape {mask.shape} for {game.n} states")
+        # An int mask would make ``joined`` below index positions, not pick.
+        if mask.dtype != bool:
+            raise ValueError(f"a tracked Pre takes a boolean mask, not {mask.dtype}")
         changed = mask != self._mask
         changes = np.count_nonzero(changed)
         if not changes:
@@ -438,21 +465,32 @@ def pre(
     With ``tracker``, from ``game.pre_tracker``, the result is the same,
     computed from the tracker's successor counts: each call reads the
     in-edges of the states that joined or left ``target`` since the
-    tracker's last call.
+    tracker's last call. The mask must then be boolean.
+
+    The graph's own ``every_state`` and ``no_state`` masks, recognised by
+    identity, are answered from the graph alone, with no count: Pre of
+    every state holds the Player 0 states with a successor and every
+    Player 1 state, Pre of no state the Player 1 states without one. A
+    tracker is then left as it was.
     """
     mask = target
     if isinstance(target, StateSet):
         if target.universe != game.n:
             raise ValueError("target universe does not match game")
         mask = target.bits
-    if tracker is not None:
-        if within is not None:
-            raise ValueError("a tracked Pre is over the whole graph")
-        got = tracker.counts(mask) > game._pre_floor
+    if tracker is not None and within is not None:
+        raise ValueError("a tracked Pre is over the whole graph")
+    floor = game._pre_floor if within is None else within.floor
+    if mask is game._every_state:
+        got = (game._pre_every if within is None else within.pre_every).copy()
+    elif mask is game._no_state:
+        got = floor < 0
+    elif tracker is not None:
+        got = tracker.counts(mask) > floor
     elif within is None:
-        got = game._counts(game._indptr, game._indices, mask) > game._pre_floor
+        got = game._counts(game._indptr, game._indices, mask) > floor
     else:
-        got = game._counts(within.indptr, within.indices, mask) > within.floor
+        got = game._counts(within.indptr, within.indices, mask) > floor
     if not isinstance(target, StateSet):
         return got
     if within is None:

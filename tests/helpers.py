@@ -551,7 +551,7 @@ def extract_strategy_loop(game: GameGraph, spec: MTSpec, result) -> Strategy:
         if best is None:
             # Stay edges: remain in an inner fixed point of a target of
             # mode k containing v, at v's rank or earlier.
-            for j in range(tr.target_count):
+            for j in range(len(tr.x_rank)):
                 if not persist_bits[k][j][v]:
                     continue
                 xr = tr.x_rank[j]

@@ -257,7 +257,7 @@ def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
         persist = block(g.n, *(p, q)[:sets])
         res = solve_persistence_reach(engine, persist, reach.bits)
         tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
-        assert tr.target_count == sets
+        assert len(tr.x_rank) == sets
         _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach.bits)
         assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, sets))
         for rank, y in enumerate(ys):
@@ -280,7 +280,7 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
         tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
         assert not (tr.y_rank >= 1).any()
         assert not (tr.x_rank[0] >= 0).any()
-        assert tr.target_count == 1
+        assert len(tr.x_rank) == 1
         assert helpers.same_trace(tr, oracle)
 
 
@@ -375,7 +375,7 @@ def test_driver_records_one_trace_per_conjunct(g1_game, one_mode_spec):
     p, e = _bound_parts(g1_game, one_mode_spec)
     out = solve_stable_conjunction(g1_game, p, e, record=True)
     assert out.traces is not None and len(out.traces) == 1
-    assert out.traces[0].target_count == 1
+    assert len(out.traces[0].x_rank) == 1
     no_rec = solve_stable_conjunction(g1_game, p, e, record=False)
     assert no_rec.traces is None
     assert no_rec.stats.pre_count == out.stats.pre_count
@@ -623,6 +623,47 @@ def test_inner_pre_calls_carry_a_row_slice(monkeypatch, algo):
     sliced = sum(_carries_slice(c) for c in calls)
     # Pre(Z) and every Pre(Y) stay on the full graph.
     assert 0 < sliced < len(calls)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_first_steps_of_cold_chains_make_no_kernel_call(monkeypatch, algo, path, warm):
+    # Each μY chain opens with Pre of no state, and each cold νX chain with
+    # Pre of every state; both are counted but read from the graph alone.
+    import mtgames.fixpoint
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+
+    force_path(monkeypatch, path)
+    calls = _counting_pre(monkeypatch)
+    kernel_calls = []
+    kernel = mtgames.game.csr_matvec
+    monkeypatch.setattr(
+        mtgames.game, "csr_matvec", lambda *a: kernel_calls.append(None) or kernel(*a)
+    )
+    chains = []
+    solve_reach = mtgames.fixpoint.solve_persistence_reach
+
+    def counted_chains(*args, **kwargs):
+        chains.append(None)
+        return solve_reach(*args, **kwargs)
+
+    monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", counted_chains)
+    for seed in range(3):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        assert game.pre_tracker(full=True) is None
+        for log in (calls, kernel_calls, chains):
+            log.clear()
+        result = _solve(algo, game, spec, warm)
+        assert len(calls) == result.stats.pre_count
+        targets = [args[1] for args, _ in calls]
+        every = sum(t is game.every_state for t in targets)
+        empty = sum(t is game.no_state for t in targets)
+        assert empty == len(chains), seed
+        assert every > 0, seed
+        # Without a tracker every other Pre is one kernel call.
+        assert len(kernel_calls) == len(calls) - every - empty, seed
 
 
 @pytest.mark.parametrize("warm", [False, True])

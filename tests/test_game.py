@@ -284,6 +284,60 @@ def test_pre_rejects_a_mask_of_the_wrong_length():
             pre(g, bad, tracker=PreTracker(g, full=True))
 
 
+def test_pre_of_the_shared_every_and_no_state_masks_needs_no_count(monkeypatch):
+    # Player 0 state 0 and Player 1 state 1 have no successor, so Pre of
+    # every state misses 0 and Pre of no state holds 1.
+    edges = [(2, 2), (2, 3), (3, 0), (3, 2), (4, 1), (5, 5)]
+    g = GameGraph(6, [0, 1, 0, 1, 0, 1], edges)
+    shared = {"every": (g.every_state, np.ones(6, bool)), "no": (g.no_state, np.zeros(6, bool))}
+    expected = {"every": {1, 2, 3, 4, 5}, "no": {1}}
+    for name, (mask, fresh) in shared.items():
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = not mask[0]
+        assert helpers.naive_pre(g, set(np.flatnonzero(fresh).tolist())) == expected[name]
+        # A fresh mask of the same states takes the kernel.
+        whole = pre(g, fresh)
+        assert set(np.flatnonzero(whole).tolist()) == expected[name]
+        for full in (None, False, True):
+            tracker = None if full is None else PreTracker(g, full)
+            got = pre(g, mask, tracker=tracker)
+            assert np.array_equal(got, whole), name
+            # A tracker is left as it was, and the answer is the caller's.
+            assert tracker is None or np.array_equal(tracker._mask, np.full(6, full))
+            got[:] = ~got
+        for bits in range(64):
+            rows = g.row_slice(np.array([bits >> v & 1 for v in range(6)], dtype=bool))
+            kernel = pre(g, fresh.astype(np.int32), within=rows)
+            assert np.array_equal(kernel, whole[rows.rows]), (name, bits)
+            assert np.array_equal(pre(g, mask, within=rows), kernel), (name, bits)
+    # None of the shared masks' Pre calls the kernel.
+    calls = []
+    kernel = game_mod.csr_matvec
+    monkeypatch.setattr(game_mod, "csr_matvec", lambda *a: calls.append(None) or kernel(*a))
+    rows = g.row_slice(np.ones(6, bool))
+    for mask in (g.every_state, g.no_state):
+        pre(g, mask)
+        pre(g, mask, within=rows)
+        pre(g, StateSet._wrap(mask))
+    assert not calls
+    pre(g, np.ones(6, bool))
+    assert len(calls) == 1
+
+
+def test_tracked_pre_rejects_a_mask_that_is_not_boolean():
+    # An int32 0/1 mask, which a sliced Pre takes, would make the tracker
+    # index positions 0 and 1 instead of picking the states that joined.
+    from mtgames.benchgen import gen_random_game
+
+    g, _ = gen_random_game(300, 2, [1, 1], 5.0, 1)
+    mask = helpers.random_subset(2, g.n).bits
+    for full in (False, True):
+        tracker = PreTracker(g, full)
+        with pytest.raises(ValueError, match="boolean"):
+            pre(g, mask.astype(np.int32), tracker=tracker)
+        assert np.array_equal(pre(g, mask, tracker=tracker), pre(g, mask))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 

@@ -140,7 +140,7 @@ def test_extract_choices_descend_iterate_ranks():
             # v's own mode at v's level or tighter.
             k = int(mode_idx[v])
             held = False
-            for j in range(tr.target_count):
+            for j in range(len(tr.x_rank)):
                 lv, lw = int(tr.x_rank[j][v]), int(tr.x_rank[j][w])
                 in_persist = bool(result.bound.persistence(k)[j][v])
                 if in_persist and 0 <= lv and 0 <= lw <= lv:
