@@ -113,12 +113,10 @@ class RobotWorld:
 
 def _room_of_cells(world: RobotWorld) -> np.ndarray:
     """Per cell: 1-based room id, or 0 for hallway cells."""
-    room = np.zeros(world.width * world.height, dtype=np.int64)
+    room = np.zeros((world.height, world.width), dtype=np.int64)
     for idx, (c0, r0, c1, r1) in enumerate(world.rooms, start=1):
-        for row in range(r0, r1 + 1):
-            base = row * world.width
-            room[base + c0 : base + c1 + 1] = idx
-    return room
+        room[r0 : r1 + 1, c0 : c1 + 1] = idx
+    return room.ravel()
 
 
 def gen_cleaning_robot(world: RobotWorld) -> tuple[GameGraph, MTSpec]:
@@ -155,64 +153,51 @@ def gen_cleaning_robot(world: RobotWorld) -> tuple[GameGraph, MTSpec]:
         picks = rng.choice(free, size=world.obstacles, replace=False)
         blocked[picks] = True
 
-    def sidx(cell: int, mask: int, turn: int) -> int:
+    def sidx(cell, mask, turn):
         return ((cell * mode_count) + (mask - 1)) * 2 + turn
 
-    moves: list[list[int]] = []
-    for cell in range(cells):
-        col, row = cell % width, cell // width
-        opts = [cell]
-        if not blocked[cell]:
-            for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                c2, r2 = col + dc, row + dr
-                if 0 <= c2 < width and 0 <= r2 < height:
-                    tgt = r2 * width + c2
-                    if not blocked[tgt]:
-                        opts.append(tgt)
-        moves.append(opts)
+    # Each cell's moves: stay, or step to an open neighbour from an open cell.
+    cell = np.arange(cells)
+    col, row = cell % width, cell // width
+    inside = np.array([col < width - 1, col > 0, row < height - 1, row > 0])
+    to = np.where(inside, cell + np.array([[1], [-1], [width], [-width]]), cell)
+    step = inside & ~blocked & ~blocked[to]
+    move_from = np.concatenate([cell, np.broadcast_to(cell, to.shape)[step]])
+    move_to = np.concatenate([cell, to[step]])
 
-    all_masks = range(1, mode_count + 1)
-    edges: list[tuple[int, int]] = []
-    owners = np.zeros(n, dtype=np.int64)
-    for cell in range(cells):
-        for mask in all_masks:
-            v0 = sidx(cell, mask, 0)
-            v1 = sidx(cell, mask, 1)
-            owners[v1] = 1
-            for c2 in moves[cell]:
-                edges.append((v0, sidx(c2, mask, 1)))
-            next_masks = [mask]
-            r = int(room_of[cell])
-            if r and mask & (1 << (r - 1)):
-                without = mask & ~(1 << (r - 1))
-                if without:
-                    next_masks.append(without)
-                else:
-                    next_masks = list(all_masks)
-            for m2 in next_masks:
-                edges.append((v1, sidx(cell, m2, 0)))
+    # The edges in four parts of (sources, targets), each array of shape
+    # (pairs, dirty sets) or (pairs,).
+    masks = np.arange(1, mode_count + 1)
+    room_cells = np.flatnonzero(room_of)
+    bit = 1 << (room_of[room_cells] - 1)
+    i, j = np.nonzero(((masks & bit[:, None]) != 0) & (masks != bit[:, None]))
+    parts = (
+        # The robot moves and keeps S.
+        (sidx(move_from[:, None], masks, 0), sidx(move_to[:, None], masks, 1)),
+        # The environment keeps S,
+        (sidx(cell[:, None], masks, 1), sidx(cell[:, None], masks, 0)),
+        # cleans room r from every S that holds r and another room,
+        (sidx(room_cells[i], masks[j], 1), sidx(room_cells[i], masks[j] ^ bit[i], 0)),
+        # and restarts from S = {r} with any nonempty set (keeping S again;
+        # GameGraph drops the copy).
+        (
+            np.repeat(sidx(room_cells, bit, 1), mode_count),
+            sidx(room_cells[:, None], masks, 0),
+        ),
+    )
+    edges = tuple(np.concatenate([p[side].ravel() for p in parts]) for side in (0, 1))
+    owners = np.arange(n) % 2
 
-    labels: dict[str, list[int]] = {}
-    for mask in all_masks:
-        labels[f"M{mask}"] = [
-            sidx(cell, mask, turn) for cell in range(cells) for turn in (0, 1)
-        ]
+    turns = np.arange(2)
+    labels = {f"M{s}": sidx(cell[:, None], s, turns).ravel() for s in masks}
     for r in range(1, k + 1):
-        room_cells = np.flatnonzero(room_of == r)
-        labels[f"T{r}"] = [
-            sidx(int(cell), mask, turn)
-            for cell in room_cells
-            for mask in all_masks
-            for turn in (0, 1)
-        ]
+        in_room = np.flatnonzero(room_of == r)[:, None, None]
+        labels[f"T{r}"] = sidx(in_room, masks[:, None], turns).ravel()
 
     game = GameGraph(n, owners, edges, labels)
     modes = tuple(
-        ModeSpec(
-            f"M{mask}",
-            tuple(f"T{r}" for r in range(1, k + 1) if mask & (1 << (r - 1))),
-        )
-        for mask in all_masks
+        ModeSpec(f"M{s}", tuple(f"T{r}" for r in range(1, k + 1) if s & (1 << (r - 1))))
+        for s in masks
     )
     return game, MTSpec(modes)
 
@@ -248,6 +233,13 @@ def gen_random_game(
             f"{n} states at density {density} exceed the bound of {MAX_STATES} "
             f"states or {MAX_EDGES} expected edges"
         )
+    # Each target draws one value per state, so the labels cost n times
+    # the target count; it is held to the edge bound.
+    if n * sum(targets) > MAX_EDGES:
+        raise BoundExceeded(
+            f"{n} states times {sum(targets)} targets exceed the bound of "
+            f"{MAX_EDGES} label draws"
+        )
 
     rng = np.random.default_rng(seed)
     if alternate_owners:
@@ -258,24 +250,23 @@ def gen_random_game(
     degrees = rng.poisson(density, size=n)
     sources = np.repeat(np.arange(n), degrees)
     dests = rng.integers(0, n, size=int(degrees.sum()))
-    edges = list(zip(sources.tolist(), dests.tolist()))
-    for v in np.flatnonzero(degrees == 0):
-        edges.append((int(v), int(v)))
+    lonely = np.flatnonzero(degrees == 0)
+    edges = (np.concatenate([sources, lonely]), np.concatenate([dests, lonely]))
 
     mode_of = np.empty(n, dtype=np.int64)
     mode_of[:m] = np.arange(m)
     if n > m:
         mode_of[m:] = rng.integers(0, m, size=n - m)
 
-    labels: dict[str, list[int]] = {}
+    labels: dict[str, np.ndarray] = {}
     for i in range(m):
-        labels[f"M{i + 1}"] = np.flatnonzero(mode_of == i).tolist()
+        labels[f"M{i + 1}"] = np.flatnonzero(mode_of == i)
     for i in range(m):
         for j in range(targets[i]):
             mask = rng.random(n) < TARGET_FILL
             if not mask.any():
                 mask[int(rng.integers(0, n))] = True
-            labels[f"T{i + 1}_{j + 1}"] = np.flatnonzero(mask).tolist()
+            labels[f"T{i + 1}_{j + 1}"] = np.flatnonzero(mask)
 
     game = GameGraph(n, owners, edges, labels)
     modes = tuple(
@@ -305,6 +296,13 @@ def gen_multi_target_series(
     if not extras or any(x < 1 for x in extras):
         raise ValidationError("infeasible parameters: extras must be positive")
     top = max(extras)
+    # One spec per step, so the sweep's spec text grows with the square of
+    # its length; its total target count is held to the edge bound.
+    total = sum(extras) + (m - 1) * len(extras)
+    if total > MAX_EDGES:
+        raise BoundExceeded(
+            f"the sweep's {total} targets exceed the bound of {MAX_EDGES}"
+        )
     game, full = gen_random_game(
         n, m, [top] + [1] * (m - 1), density, seed
     )

@@ -425,13 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GameParseError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_Usage, GameParseError, SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BoundExceeded as exc:

@@ -95,7 +95,8 @@ class GameGraph:
     owners:
         Length-n sequence of 0/1 (0 = Player 0 state).
     edges:
-        Iterable of (source, target) pairs, each in 0..n-1.
+        Iterable of (source, target) pairs, each in 0..n-1, or a tuple of
+        two integer arrays (sources, targets).
     labels:
         Mapping from proposition name to an iterable of labeled states.
         Insertion order fixes the proposition table.

@@ -22,7 +22,6 @@ solver; its sides are already resolved to state sets.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,8 @@ from .errors import (
     SpecParseError,
     UnboundProposition,
 )
-from .game import GameGraph
+from .game import PROP_NAME_RE, GameGraph
 from .sets import StateSet
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Tokens that look like temporal operators; seeing one where 'FG' is
 # required means the formula is outside the supported fragment rather
@@ -50,12 +47,12 @@ class ModeSpec:
     targets: tuple[str, ...]
 
     def __post_init__(self):
-        if not IDENT_RE.match(self.name):
+        if not PROP_NAME_RE.match(self.name):
             raise SpecError(f"invalid mode name {self.name!r}")
         if not self.targets:
             raise SpecError(f"mode {self.name!r} has no targets")
         for t in self.targets:
-            if not IDENT_RE.match(t):
+            if not PROP_NAME_RE.match(t):
                 raise SpecError(f"invalid target name {t!r}")
         if len(set(self.targets)) != len(self.targets):
             raise SpecError(f"duplicate target in mode {self.name!r}")
@@ -256,7 +253,7 @@ def parse_spec_file(text: str) -> MTSpec:
             if len(parts) != 2:
                 raise SpecParseError("expected 'mode <Name>'", line=lineno)
             name = parts[1]
-            if not IDENT_RE.match(name):
+            if not PROP_NAME_RE.match(name):
                 raise SpecParseError(f"invalid mode name {name!r}", line=lineno)
             if name in targets:
                 raise SpecParseError(f"duplicate mode {name!r}", line=lineno)
@@ -272,7 +269,7 @@ def parse_spec_file(text: str) -> MTSpec:
                 raise SpecParseError(
                     f"target names undeclared mode {mode!r}", line=lineno
                 )
-            if not IDENT_RE.match(tgt):
+            if not PROP_NAME_RE.match(tgt):
                 raise SpecParseError(f"invalid target name {tgt!r}", line=lineno)
             if tgt in targets[mode]:
                 raise SpecParseError(

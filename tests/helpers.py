@@ -165,6 +165,122 @@ def serialize_game_loop(game: GameGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def gen_cleaning_robot_loop(world) -> tuple[GameGraph, MTSpec]:
+    """The cleaning-robot game of ``world`` built one cell and one dirty set
+    at a time into a list of edge pairs, from the same obstacle draw as
+    :func:`mtgames.benchgen.gen_cleaning_robot`."""
+    k = world.room_count
+    width, height = world.width, world.height
+    cells = width * height
+    mode_count = (1 << k) - 1
+    n = cells * mode_count * 2
+    room_of = np.zeros(cells, dtype=np.int64)
+    for idx, (c0, r0, c1, r1) in enumerate(world.rooms, start=1):
+        for row in range(r0, r1 + 1):
+            room_of[row * width + c0 : row * width + c1 + 1] = idx
+    blocked = np.zeros(cells, dtype=bool)
+    if world.obstacles:
+        free = np.flatnonzero(room_of == 0)
+        rng = np.random.default_rng(world.seed)
+        blocked[rng.choice(free, size=world.obstacles, replace=False)] = True
+
+    def sidx(cell: int, mask: int, turn: int) -> int:
+        return ((cell * mode_count) + (mask - 1)) * 2 + turn
+
+    moves: list[list[int]] = []
+    for cell in range(cells):
+        col, row = cell % width, cell // width
+        opts = [cell]
+        if not blocked[cell]:
+            for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                c2, r2 = col + dc, row + dr
+                if 0 <= c2 < width and 0 <= r2 < height:
+                    tgt = r2 * width + c2
+                    if not blocked[tgt]:
+                        opts.append(tgt)
+        moves.append(opts)
+
+    all_masks = range(1, mode_count + 1)
+    edges: list[tuple[int, int]] = []
+    owners = np.zeros(n, dtype=np.int64)
+    for cell in range(cells):
+        for mask in all_masks:
+            v0 = sidx(cell, mask, 0)
+            v1 = sidx(cell, mask, 1)
+            owners[v1] = 1
+            for c2 in moves[cell]:
+                edges.append((v0, sidx(c2, mask, 1)))
+            next_masks = [mask]
+            r = int(room_of[cell])
+            if r and mask & (1 << (r - 1)):
+                without = mask & ~(1 << (r - 1))
+                if without:
+                    next_masks.append(without)
+                else:
+                    next_masks = list(all_masks)
+            for m2 in next_masks:
+                edges.append((v1, sidx(cell, m2, 0)))
+
+    labels: dict[str, list[int]] = {}
+    for mask in all_masks:
+        labels[f"M{mask}"] = [
+            sidx(cell, mask, turn) for cell in range(cells) for turn in (0, 1)
+        ]
+    for r in range(1, k + 1):
+        labels[f"T{r}"] = [
+            sidx(int(cell), mask, turn)
+            for cell in np.flatnonzero(room_of == r)
+            for mask in all_masks
+            for turn in (0, 1)
+        ]
+    spec = MTSpec(
+        tuple(
+            ModeSpec(f"M{mask}", tuple(f"T{r}" for r in range(1, k + 1) if mask >> (r - 1) & 1))
+            for mask in all_masks
+        )
+    )
+    return GameGraph(n, owners, edges, labels), spec
+
+
+def gen_random_game_pairs(
+    n: int, m: int, targets, density: float, seed: int, alternate_owners=False
+) -> tuple[GameGraph, MTSpec]:
+    """The random game of :func:`mtgames.benchgen.gen_random_game` from the
+    same draws, handed to GameGraph as a list of edge pairs and label
+    lists."""
+    rng = np.random.default_rng(seed)
+    if alternate_owners:
+        owners = np.arange(n, dtype=np.int64) % 2
+    else:
+        owners = rng.integers(0, 2, size=n)
+    degrees = rng.poisson(density, size=n)
+    sources = np.repeat(np.arange(n), degrees)
+    dests = rng.integers(0, n, size=int(degrees.sum()))
+    edges = list(zip(sources.tolist(), dests.tolist()))
+    for v in np.flatnonzero(degrees == 0):
+        edges.append((int(v), int(v)))
+    mode_of = np.empty(n, dtype=np.int64)
+    mode_of[:m] = np.arange(m)
+    if n > m:
+        mode_of[m:] = rng.integers(0, m, size=n - m)
+    labels: dict[str, list[int]] = {}
+    for i in range(m):
+        labels[f"M{i + 1}"] = np.flatnonzero(mode_of == i).tolist()
+    for i in range(m):
+        for j in range(targets[i]):
+            mask = rng.random(n) < 0.25
+            if not mask.any():
+                mask[int(rng.integers(0, n))] = True
+            labels[f"T{i + 1}_{j + 1}"] = np.flatnonzero(mask).tolist()
+    spec = MTSpec(
+        tuple(
+            ModeSpec(f"M{i + 1}", tuple(f"T{i + 1}_{j + 1}" for j in range(targets[i])))
+            for i in range(m)
+        )
+    )
+    return GameGraph(n, owners, edges, labels), spec
+
+
 def pre_where(game: GameGraph, target: StateSet) -> StateSet:
     """Controllable predecessor through one np.where over the successor
     counts, taken as a scipy sparse product over the graph's edge list."""

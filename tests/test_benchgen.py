@@ -16,9 +16,9 @@ from mtgames.benchgen import (
     scaled_rooms,
 )
 from mtgames.errors import ValidationError
-from mtgames.game import validate_graph
+from mtgames.game import serialize_game, validate_graph
 from mtgames.solver import solve_mt
-from mtgames.specs import bind_spec, require_exclusive
+from mtgames.specs import ModeSpec, MTSpec, bind_spec, format_spec_file, require_exclusive
 
 
 def assert_modes_partition_states(game, spec):
@@ -289,3 +289,68 @@ def test_series_rejects_bad_extras():
         gen_multi_target_series(20, 2, 2.0, 0, extras=[])
     with pytest.raises(ValidationError, match="extras"):
         gen_multi_target_series(20, 2, 2.0, 0, extras=[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Array generators against the loop construction
+
+
+def assert_same_instance(built, reference):
+    (game, spec), (ref_game, ref_spec) = built, reference
+    assert game == ref_game
+    assert game.props == ref_game.props
+    assert spec == ref_spec
+    assert serialize_game(game) == serialize_game(ref_game)
+    assert format_spec_file(spec) == format_spec_file(ref_spec)
+
+
+def robot_world_sweep():
+    for size in range(1, 11):
+        for k in range(1, 6):
+            try:
+                yield RobotWorld(size, size, scaled_rooms(size, size, k))
+            except ValidationError:
+                pass
+    yield RobotWorld(16, 16, scaled_rooms(16, 16, 5))  # the benchmark's world
+    for seed in range(5):
+        for obstacles in (0, 3, 10):
+            yield RobotWorld(8, 8, scaled_rooms(8, 8, 2), seed=seed, obstacles=obstacles)
+    yield RobotWorld(12, 12, scaled_rooms(12, 12, 3), seed=1, obstacles=12)
+    yield RobotWorld(16, 12, scaled_rooms(16, 12, 3))
+    for k in range(1, MAX_ROOMS + 1):
+        # k rooms of two cells in one column each, in two rows of up to five,
+        # and obstacles for odd k.
+        boxes = [(c % 5 * 2, c // 5 * 5, c % 5 * 2, c // 5 * 5 + 1) for c in range(k)]
+        yield RobotWorld(10, 7, boxes, seed=k, obstacles=7 * (k % 2))
+    yield RobotWorld(1, 7, [(0, 2, 0, 3)])
+    yield RobotWorld(9, 1, [(0, 0, 1, 0), (5, 0, 8, 0)], seed=4, obstacles=2)
+
+
+def test_robot_equals_the_loop_construction():
+    worlds = list(robot_world_sweep())
+    assert len(worlds) == 45
+    for world in worlds:
+        assert_same_instance(gen_cleaning_robot(world), helpers.gen_cleaning_robot_loop(world))
+
+
+def test_random_game_equals_the_pair_list_construction():
+    for n in (1, 2, 3, 7, 50, 333, 5000):
+        for m in (1, 2, 4):
+            if m > n:
+                continue
+            targets = [i % 3 + 1 for i in range(m)]
+            for density in (0.5, 2.0):
+                for alternate in (False, True):
+                    args = (n, m, targets, density, n + m)
+                    assert_same_instance(
+                        gen_random_game(*args, alternate_owners=alternate),
+                        helpers.gen_random_game_pairs(*args, alternate),
+                    )
+
+
+def test_series_equals_the_pair_list_construction():
+    series = gen_multi_target_series(600, 9, 2.0, 0, extras=list(range(1, 11)))
+    game, full = helpers.gen_random_game_pairs(600, 9, [10] + [1] * 8, 2.0, 0)
+    for x, built in zip(range(1, 11), series):
+        first = ModeSpec(full.modes[0].name, full.modes[0].targets[:x])
+        assert_same_instance(built, (game, MTSpec((first,) + full.modes[1:])))

@@ -711,6 +711,31 @@ def test_generator_bounds_exit_4_before_allocating(
 ):
     if max_states is not None:
         monkeypatch.setattr(benchgen, "MAX_STATES", max_states)
+    _assert_exits_4_before_allocating(argv, tmp_path, capsys)
+
+
+# Over the label and sweep bounds, with the edge bound lowered to 1000 so
+# that a missing check builds a small game instead of a huge one: 100 states
+# times 11 targets; a sweep of 1..50 targets, 1275 in all; and a sweep whose
+# last step has 100 states times 11 targets.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-random", "--states", "100", "--modes", "1", "--targets", "11",
+         "--out", "r"],
+        ["gen-series", "--states", "10", "--modes", "1", "--extra-max", "50",
+         "--out-dir", "s"],
+        ["gen-series", "--states", "100", "--modes", "1", "--extra-max", "11",
+         "--out-dir", "s"],
+    ],
+    ids=["gen-random-labels", "gen-series-sweep", "gen-series-labels"],
+)
+def test_label_bounds_exit_4_before_allocating(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(benchgen, "MAX_EDGES", 1000)
+    _assert_exits_4_before_allocating(argv, tmp_path, capsys)
+
+
+def _assert_exits_4_before_allocating(argv, tmp_path, capsys):
     argv = argv[:-1] + [str(tmp_path / argv[-1])]
     tracemalloc.start()
     try:
