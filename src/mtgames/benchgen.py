@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,26 +284,31 @@ def gen_multi_target_series(
     m: int,
     density: float,
     seed: int,
-    extras: list[int],
+    extras: Sequence[int],
 ) -> list[tuple[GameGraph, MTSpec]]:
     """Series over one base game: mode 1's target count sweeps ``extras``
-    while the other modes keep a single target each.
+    (a list or a range) while the other modes keep a single target each.
 
     Sharing the graph across the sweep isolates the effect of the
     target count on solver work; it also makes the winning set
     monotone along the series (more targets never lose states).
     """
-    extras = list(extras)
-    if not extras or any(x < 1 for x in extras):
+    if not extras:
         raise ValidationError("infeasible parameters: extras must be positive")
-    top = max(extras)
     # One spec per step, so the sweep's spec text grows with the square of
-    # its length; its total target count is held to the edge bound.
-    total = sum(extras) + (m - 1) * len(extras)
-    if total > MAX_EDGES:
-        raise BoundExceeded(
-            f"the sweep's {total} targets exceed the bound of {MAX_EDGES}"
-        )
+    # its length; its total target count is held to the edge bound. The
+    # steps are summed one by one, so that a long range stops at the bound.
+    total = 0
+    for step, x in enumerate(extras, 1):
+        if x < 1:
+            raise ValidationError("infeasible parameters: extras must be positive")
+        total += x + m - 1
+        if total > MAX_EDGES:
+            raise BoundExceeded(
+                f"the sweep's first {step} steps hold {total} targets, which "
+                f"exceeds the bound of {MAX_EDGES}"
+            )
+    top = max(extras)
     game, full = gen_random_game(
         n, m, [top] + [1] * (m - 1), density, seed
     )

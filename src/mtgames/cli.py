@@ -325,7 +325,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 def cmd_gen_series(args: argparse.Namespace) -> int:
     if args.extra_min < 1 or args.extra_max < args.extra_min:
         raise _Usage("need 1 <= --extra-min <= --extra-max")
-    extras = list(range(args.extra_min, args.extra_max + 1))
+    extras = range(args.extra_min, args.extra_max + 1)
     series = gen_multi_target_series(
         args.states, args.modes, args.density, args.seed, extras
     )

@@ -92,19 +92,27 @@ class FixpointEngine:
 # against |P|. Time of one cold solve_persistence_reach, with its ranks, on
 # P's rows over its time on length-n masks, for one random P on random games
 # of density 2 with 2% of the states to reach; both paths read their first
-# step from the out-degrees (2-core x86-64 VM, medians of 15, the range of
-# two sweeps):
+# step from the out-degrees (2-core x86-64 VM, medians of 15, the median of
+# three sweeps):
 #
-#   n \ n/|P|  10         25         50         100        200        400
-#   600        1.10-1.11  1.09-1.10  1.00-1.08  1.08-1.15  1.03-1.07  1.19
-#   2000       1.05-1.06  1.03       0.97-1.08  1.02       1.04-1.13  0.99-1.06
-#   5000       1.04-1.08  1.08-1.20  0.98-1.01  1.02-1.04  0.98-1.02  1.01-1.08
-#   10000      1.06-1.08  1.00-1.06  0.89-0.98  0.94-0.98  0.95-0.98  0.96-0.98
-#   20000      1.02-1.05  0.89-1.01  0.87-0.91  0.90-0.94  0.91-0.93  0.90
+#   n \ n/|P|  10    25    50    100   200   400
+#   600        1.08  1.05  1.10  1.06  1.17  1.15
+#   2000       1.11  1.06  1.04  0.99  1.05  1.02
+#   5000       0.83  0.82  0.79  0.76  0.76  0.77
+#   10000      0.84  0.82  0.77  0.78  0.79  0.78
+#   20000      0.90  0.79  0.80  0.76  0.79  0.78
 #
 # Up to about 5000 states a numpy call costs the same whatever its length,
 # and the rows lose a few percent; there the rule admits sets of at most
-# n/100 states, 6 at n=600.
+# n/100 states, 6 at n=600. From 5000 states on these graphs are
+# edge_bound, and a chain on masks first narrows P to its undecided rows,
+# a dozen numpy calls that buy nothing here, where base holds little of P:
+# the rows win down to n/10, the masks at n/4 and n/2 (1.0-1.6, one sweep
+# at 5000 and 20000 states). Where few rows are undecided, as in the warm
+# gr1emb solves of the random benchmark game (n=20000, |P| from n/16 to
+# n/4), every set on its rows made the solve 1.7 times as slow, and a ratio
+# of 10 left it as it is. The ratio stays at 100, which the graphs below
+# the gate set.
 ROW_CHAIN_RATIO = 100
 
 # The first iterate X_0 of an inner chain: as Pre reads it (the graph's
@@ -164,10 +172,13 @@ def solve_persistence_reach(
     Pre term adds states of P only. So each inner chain starts from X_0
     and gives X & P on P's rows; a set small against the game
     (``ROW_CHAIN_RATIO``) is iterated on its rows alone, any other on
-    length-n masks. A cold chain starts from the graph's ``every_state``
-    and Y from its ``no_state``, so that the first Pre of each chain is read
-    from the out-degrees rather than counted by the kernel; both stay one
-    counted Pre.
+    length-n masks. On a graph that is ``edge_bound``, a chain on masks
+    passes each Pre the rows of U = P & X_0 & ~base alone: rows of P in
+    base stay in every iterate and rows outside X_0 never come back, so
+    X_k & P = (base & P) | (X_k & U). A cold chain starts from the graph's
+    ``every_state`` and Y from its ``no_state``, so that the first Pre of
+    each chain is read from the out-degrees rather than counted by the
+    kernel; both stay one counted Pre.
 
     ``x_seeds`` warm-starts the inner fixed points, one seed per set;
     each seed must dominate every inner fixed point of this run.
@@ -274,12 +285,20 @@ def _chain_on_masks(
 ) -> np.ndarray:
     """:func:`_chain_on_rows` on length-n masks: X & P on P's rows of the
     same greatest fixed point, whose X is ORed into ``new_y``."""
-    x, bound, _, size = start
+    x, bound, start_rows, size = start
+    within = rows
+    if engine.game.edge_bound:
+        # Rows of P in base stay in every iterate and rows outside X_0 never
+        # come back, so each Pre need only decide U = P & X_0 & ~base.
+        undecided = ~base[rows.rows]
+        if start_rows is not None:
+            undecided &= start_rows
+        within = engine.game.narrow(rows, undecided)
     # An inner iterate never grows, so an unchanged size means an unchanged
     # set.
     while True:
         nxt = np.zeros(base.size, dtype=bool)
-        nxt[rows.rows] = engine.pre(x, within=rows)
+        nxt[within.rows] = engine.pre(x, within=within)
         nxt |= base
         if bound is not None:
             nxt &= bound

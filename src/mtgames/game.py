@@ -22,7 +22,9 @@ date from the in-edges of the states that joined or left the set: the
 counter technique of the linear-time attractor. The in-edges come from
 a predecessor CSR (edges sorted by target) built on first use. Graphs
 with at most ``TRACKED_PRE_EDGES`` edges get no tracker, since there
-counting every edge is cheaper.
+counting every edge is cheaper. :meth:`GameGraph.narrow` cuts a row
+slice down to some of its rows, for a chain that has only those left to
+decide.
 
 The text format round-tripped by :func:`load_game` / :func:`serialize_game`::
 
@@ -72,12 +74,18 @@ MAX_EDGES = 10 * MAX_STATES
 _MAX_NAME_BYTES = 32
 # Most edges a graph indexes with int32; a graph with more uses int64.
 _MAX_INT32_EDGES = np.iinfo(np.int32).max
-# Break-even edge count of a tracked Pre: GameGraph.pre_tracker gives a
-# tracker only to a graph with more edges. Measured on a 2-core x86-64 VM
-# over the whole-graph Pre calls of one solve_mt, a tracked Pre averages
-# 15-19 us against 5-8 us for the kernel on a series graph (1244 edges),
-# and on warm random games 39 against 29 us at 8491 edges, 50 against 56 us
-# at 12880 edges and 103-130 against 235-280 us at 42716 edges.
+# Edge count above which a graph is edge_bound: its Pre costs about its
+# edges rather than its numpy calls, and it pays to read fewer edges at the
+# price of more calls. Such a graph gets a PreTracker for its whole-graph
+# Pre chains, and its inner chains on masks count only their undecided rows
+# (fixpoint._chain_on_masks). Measured on a 2-core x86-64 VM over the
+# whole-graph Pre calls of one solve_mt, a tracked Pre averages 15-19 us
+# against 5-8 us for the kernel on a series graph (1244 edges), and on warm
+# random games 39 against 29 us at 8491 edges, 50 against 56 us at 12880
+# edges and 103-130 against 235-280 us at 42716 edges. Narrowing a chain
+# costs about a dozen numpy calls: on the series graph (600 states, 1245
+# edges) it made the cold solves of a pass of its ten specs 1.5 times as
+# slow (gr1emb 0.50 against 0.79 s, mt 0.18 against 0.25 s, medians of 5).
 TRACKED_PRE_EDGES = 10_000
 # A tracker whose set changed by more than this share of the states
 # recounts every edge with the kernel instead: an in-edge gathered and
@@ -270,24 +278,54 @@ class GameGraph:
         """The successor rows and Pre floors of the states in a length-n
         boolean mask, for a Pre that is only wanted inside that mask."""
         rows = np.flatnonzero(mask)
-        degree = self._outdeg[rows]
-        indptr = np.zeros(rows.size + 1, dtype=self._indptr.dtype)
-        np.cumsum(degree, out=indptr[1:])
-        # Edge positions of the rows, laid end to end: each row's first edge
-        # in the graph, shifted by the row's start in the slice, plus a count
-        # (int64, which numpy indexes with no conversion).
-        shift = np.repeat(self._indptr[rows] - indptr[:-1], degree)
-        at = shift + np.arange(indptr[-1], dtype=np.int64)
-        return RowSlice(
-            rows, indptr, self._indices[at], self._pre_floor[rows], self._pre_every[rows]
-        )
+        indptr, indices = self._take_rows(self._indptr, self._indices, self._outdeg[rows], rows)
+        return RowSlice(rows, indptr, indices, self._pre_floor[rows], self._pre_every[rows])
+
+    def narrow(self, rows: RowSlice, keep: np.ndarray) -> RowSlice:
+        """The row slice of the rows of ``rows`` that ``keep``, one boolean
+        per row, holds, built from ``rows``' own arrays; the graph's one
+        shared slice of no row when ``keep`` holds none."""
+        at = np.flatnonzero(keep)
+        if not at.size:
+            return self._no_rows
+        degree = rows.indptr[at + 1] - rows.indptr[at]
+        indptr, indices = self._take_rows(rows.indptr, rows.indices, degree, at)
+        return RowSlice(rows.rows[at], indptr, indices, rows.floor[at], rows.pre_every[at])
+
+    def _take_rows(
+        self, indptr: np.ndarray, indices: np.ndarray, degree: np.ndarray, at: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR rows ``at``, of ``degree`` edges each, of ``indptr`` and
+        ``indices`` (the graph's or a row slice's), laid end to end as an
+        indptr and indices of their own."""
+        out = np.zeros(at.size + 1, dtype=indptr.dtype)
+        np.cumsum(degree, out=out[1:])
+        size = int(out[-1])
+        got = np.empty(size, dtype=indices.dtype)
+        # scipy's compiled row copy, as in PreTracker.counts; it wants the
+        # rows in the CSR's dtype, and the copied matrix entries are unused.
+        at = at.astype(indptr.dtype, copy=False)
+        csr_row_index(at.size, at, indptr, indices, self._ones, got, np.empty(size, np.int32))
+        return out, got
+
+    @cached_property
+    def _no_rows(self) -> RowSlice:
+        return self.row_slice(self._no_state)
+
+    @property
+    def edge_bound(self) -> bool:
+        """Whether a Pre on this graph costs about its edge count rather
+        than its numpy calls: more than ``TRACKED_PRE_EDGES`` edges. Only
+        such a graph tracks its whole-graph Pre chains (:meth:`pre_tracker`)
+        and narrows each inner chain to the rows it has yet to decide."""
+        return self.num_edges > TRACKED_PRE_EDGES
 
     def pre_tracker(self, full: bool) -> PreTracker | None:
         """A :class:`PreTracker` of a set that starts with every state
-        (``full``) or with none, for a chain of Pre calls on it; None on a
-        graph of at most ``TRACKED_PRE_EDGES`` edges, whose Pre counts every
-        edge instead."""
-        if self.num_edges <= TRACKED_PRE_EDGES:
+        (``full``) or with none, for a chain of Pre calls on it; None unless
+        the graph is :attr:`edge_bound`, since otherwise counting every edge
+        is cheaper."""
+        if not self.edge_bound:
             return None
         return PreTracker(self, full)
 
@@ -347,7 +385,8 @@ class GameGraph:
 class RowSlice:
     """The successor lists and Pre floors of the states ``rows``, as CSR
     rows ``indptr``/``indices`` in the graph's index dtype, and their part
-    of Pre of every state; built by :meth:`GameGraph.row_slice`."""
+    of Pre of every state; built by :meth:`GameGraph.row_slice` and
+    :meth:`GameGraph.narrow`."""
 
     rows: np.ndarray
     indptr: np.ndarray

@@ -704,6 +704,10 @@ def test_generators_reject_a_negative_seed(argv, tmp_path, capsys):
           "--out", "r"], 100),
         (["gen-series", "--states", "101", "--modes", "1", "--out-dir", "s"], 100),
         (["gen-robot", "--rooms", "2", "--grid", "9x8", "--out", "rb"], 100),
+        # A sweep of 1..10**6 targets: the bound is checked before a list of
+        # the steps is built.
+        (["gen-series", "--states", "10", "--modes", "1", "--extra-max", "1000000",
+          "--out-dir", "s"], None),
     ],
 )
 def test_generator_bounds_exit_4_before_allocating(

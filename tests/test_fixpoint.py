@@ -798,6 +798,157 @@ def test_only_graphs_above_the_edge_constant_are_tracked(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Inner chains on length-n masks narrowed to their undecided rows
+
+
+def force_edge_bound(monkeypatch, on):
+    """Treat every graph as one with many edges (``on``) or with few: its
+    whole-graph Pre chains tracked and its inner chains on masks narrowed,
+    or neither."""
+    from mtgames.game import GameGraph
+
+    monkeypatch.setattr(GameGraph, "edge_bound", property(lambda self: on))
+
+
+def _outcome(result):
+    traces = [
+        (t.y_rank.tolist(), [x.tolist() for x in t.x_rank]) for t in result.trace or ()
+    ]
+    stats = result.stats
+    return members(result.winning.bits), stats.pre_count, stats.outer_iterations, traces
+
+
+@pytest.mark.parametrize("alternate_owners", [False, True])
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_owners):
+    # The same winning set, work and trace ranks with every graph treated
+    # as edge-bound and with none, on either inner path.
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+    from mtgames.solver import SolveOptions, solve_mt
+    from mtgames.gr1 import solve_gr1_emb
+
+    solve = solve_mt if algo == "mt" else solve_gr1_emb
+    narrowed = []
+    narrow = mtgames.game.GameGraph.narrow
+    monkeypatch.setattr(
+        mtgames.game.GameGraph,
+        "narrow",
+        lambda self, rows, keep: narrowed.append(None) or narrow(self, rows, keep),
+    )
+    for path, seed in itertools.product(sorted(PATHS), range(6)):
+        force_path(monkeypatch, path)
+        game, spec = gen_random_game(
+            120, 3, [3, 1, 2], 2.0, seed, alternate_owners=alternate_owners
+        )
+        got = []
+        for on in (False, True):
+            force_edge_bound(monkeypatch, on)
+            narrowed.clear()
+            got.append(_outcome(solve(game, spec, SolveOptions(warm=warm, record=True))))
+            assert bool(narrowed) == (on and path == "masks"), (path, seed, on)
+        assert got[0] == got[1], (path, seed)
+
+
+def _masks_chains(monkeypatch):
+    """Log every inner chain on length-n masks: per chain, the states of
+    U = P & X_0 & ~base, worked out from the whole-graph masks, the size of
+    P & ~base, and the row slices its Pre calls carried. Pre calls outside
+    any chain are logged as None."""
+    import mtgames.fixpoint
+
+    chains = []
+    # The slices of the chain that is running, if any.
+    running = [None]
+    chain = mtgames.fixpoint._chain_on_masks
+    original = mtgames.fixpoint.pre
+
+    def logged_chain(engine, rows, base, new_y, start):
+        undecided = np.zeros(base.size, dtype=bool)
+        undecided[rows.rows] = True
+        undecided &= ~base
+        if start[1] is not None:
+            undecided &= start[1]
+        running[0] = []
+        outside = np.count_nonzero(~base[rows.rows])
+        chains.append((np.flatnonzero(undecided), outside, running[0]))
+        try:
+            return chain(engine, rows, base, new_y, start)
+        finally:
+            running[0] = None
+
+    def logged_pre(game, mask, within=None, tracker=None):
+        if running[0] is not None:
+            running[0].append(within)
+        else:
+            chains.append(None)
+        return original(game, mask, within=within, tracker=tracker)
+
+    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_masks", logged_chain)
+    monkeypatch.setattr(mtgames.fixpoint, "pre", logged_pre)
+    return chains
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_masks_chains_read_only_their_undecided_rows(monkeypatch, algo, warm):
+    from mtgames.benchgen import gen_random_game
+
+    force_path(monkeypatch, "masks")
+    force_edge_bound(monkeypatch, True)
+    chains = _masks_chains(monkeypatch)
+    decided = narrowed_by_seed = 0
+    for seed in range(4):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        src, dst = game.edge_arrays
+        chains.clear()
+        result = _solve(algo, game, spec, warm)
+        outside_chains = chains.count(None)
+        sliced = 0
+        for undecided, outside, slices in filter(None, chains):
+            assert slices
+            for within in slices:
+                # The rows of U alone, with their own successor lists.
+                assert np.array_equal(within.rows, undecided)
+                assert np.array_equal(within.indices, dst[np.isin(src, undecided)])
+                assert np.array_equal(np.diff(within.indptr), np.bincount(src)[undecided])
+            sliced += len(slices)
+            if not undecided.size:
+                # P inside base: no Pre of the chain reads an edge.
+                decided += 1
+                assert all(w.indptr[-1] == 0 for w in slices)
+            narrowed_by_seed += undecided.size < outside
+        # Every counted Pre is Pre(Y), Pre(Z) or one of a chain's.
+        assert sliced > 0
+        assert sliced + outside_chains == result.stats.pre_count
+    assert decided > 0
+    # Only a warm seed keeps rows of P & ~base out of U.
+    assert (narrowed_by_seed > 0) == warm
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_warm_seed_narrows_the_undecided_rows(monkeypatch, seeded):
+    # The graph of test_first_inner_step_stays_inside_the_seed: Player 0
+    # states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to reach, so
+    # base is empty. Cold, U is all of P; seeded with {0}, U is {0}, and
+    # state 1, outside the seed, is never counted.
+    force_path(monkeypatch, "masks")
+    force_edge_bound(monkeypatch, True)
+    chains = _masks_chains(monkeypatch)
+    g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
+    persist = np.array([[True, True, False]])
+    seeds = [np.array([True, False, False])] if seeded else None
+    res = solve_persistence_reach(FixpointEngine(g), persist, np.zeros(3, bool), x_seeds=seeds)
+    assert members(res.value) == set()
+    want = [0] if seeded else [0, 1]
+    undecided, _, slices = next(filter(None, chains))
+    assert undecided.tolist() == want
+    assert slices and all(w.rows.tolist() == want for w in slices)
+    assert len(list(filter(None, chains))) == 1
+
+
+# ---------------------------------------------------------------------------
 # Pinned work: (pre_count, outer_iterations) of solve_mt cold, solve_mt warm,
 # solve_gr1_emb cold and solve_gr1_emb warm. A speed-up that keeps the
 # algorithm must leave every figure as it is.
