@@ -317,3 +317,38 @@ def gen_multi_target_series(
         first = ModeSpec(full.modes[0].name, full.modes[0].targets[:x])
         out.append((game, MTSpec((first,) + full.modes[1:])))
     return out
+
+
+def gen_fixpoint_witness(k: int) -> tuple[GameGraph, MTSpec]:
+    """A game of n = 4k + 2 Player 0 states, solved in k + 1 outer rounds,
+    on which the nested fixed point takes Θ(n³) Pre unless each Y-step's
+    inner fixed points are seeded from the same step of the previous round.
+
+    States, in order: a chain a_0..a_(k-1) (modes M1, target T1) into b
+    (M1), which leads into a chain c_0..c_(k-1) (M1) into d, a self-loop
+    in M2 and T2; then a chain e_0..e_(2k-1) whose last state loops, with
+    e_i in M2 for even i and for i = 2k-1, in M3 for every other odd i,
+    and T3 = {e_1}. Each outer round removes the last two e states still
+    winnable, and in every round mode M1's Y chain takes k + 2 steps."""
+    if k < 1:
+        raise ValidationError("infeasible parameters: k must be positive")
+    n = 4 * k + 2
+    if n > MAX_STATES:
+        raise BoundExceeded(f"{n} states exceed the bound of {MAX_STATES} states")
+    states = np.arange(n)
+    # Each state steps to the next, but d and the last e state loop.
+    d = 2 * k + 1
+    e = np.arange(d + 1, n)
+    dst = states + 1
+    dst[d], dst[-1] = d, n - 1
+    labels = {
+        "M1": states[:d],
+        "T1": states[:k],
+        "M2": np.concatenate([[d], e[::2], e[-1:]]),
+        "T2": np.array([d]),
+        "M3": e[1:-1:2],
+        "T3": e[1:2],
+    }
+    game = GameGraph(n, np.zeros(n, dtype=np.int64), (states, dst), labels)
+    modes = tuple(ModeSpec(f"M{i}", (f"T{i}",)) for i in (1, 2, 3))
+    return game, MTSpec(modes)

@@ -346,17 +346,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solve, compare, generate and check mode-target games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    warm_help = (
+        "seed each Y-step's inner fixed points from the same step of the "
+        "previous outer round"
+    )
 
     s = sub.add_parser("solve", help="solve one game against one objective")
     s.add_argument("game", help="game file")
     s.add_argument("spec", nargs="?", help="spec file (or use --ltl)")
     s.add_argument("--ltl", metavar="FORMULA", help="inline objective formula")
     s.add_argument("--algo", choices=sorted(_SOLVERS), default="mt")
-    s.add_argument(
-        "--warm",
-        action="store_true",
-        help="seed inner fixed points from the previous outer round",
-    )
+    s.add_argument("--warm", action="store_true", help=warm_help)
     s.add_argument("--strategy", metavar="OUT", help="write extracted strategy (mt only)")
     s.add_argument("--winning", metavar="OUT", help="write the winning set")
     s.add_argument("--csv", metavar="OUT", help="write a one-row CSV")
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="instance sources: directories, .game files, or path prefixes",
     )
-    c.add_argument("--warm", action="store_true")
+    c.add_argument("--warm", action="store_true", help=warm_help)
     c.add_argument("--csv", metavar="OUT", help="write two CSV rows per instance")
     c.set_defaults(func=cmd_compare)
 

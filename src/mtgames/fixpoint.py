@@ -108,18 +108,10 @@ class FixpointEngine:
 # edge_bound, and a chain on masks first narrows P to its undecided rows,
 # a dozen numpy calls that buy nothing here, where base holds little of P:
 # the rows win down to n/10, the masks at n/4 and n/2 (1.0-1.6, one sweep
-# at 5000 and 20000 states). Where few rows are undecided, as in the warm
-# gr1emb solves of the random benchmark game (n=20000, |P| from n/16 to
-# n/4), every set on its rows made the solve 1.7 times as slow, and a ratio
-# of 10 left it as it is. The ratio stays at 100, which the graphs below
-# the gate set.
+# at 5000 and 20000 states). The ratio stays at 100, which the graphs below
+# the gate set. It routes cold chains only: a seeded chain always runs on
+# rows (see solve_persistence_reach).
 ROW_CHAIN_RATIO = 100
-
-# The first iterate X_0 of an inner chain: as Pre reads it (the graph's
-# shared every_state mask for the full set, whose Pre needs no count, else
-# its int32 form), as a mask and on its set's rows (both None for the full
-# set), and its size.
-_Start = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]
 
 
 @dataclass
@@ -127,23 +119,29 @@ class PersistenceReachResult:
     """Outcome of one persistence-or-reach computation, as boolean masks.
 
     value:      the fixed point (states winning the one-mode objective).
-    final_x:    per persistence set, the inner fixed point at the last
-                (stabilized) iteration; valid warm seeds for a later run
-                against a smaller outer set.
     bases:      per rank l (0-based) that grew Y, base_l = Pre(Y_l) | reach,
                 where Y_0 is empty.
     x_iterates: per rank l, per persistence set P_j, X_l & P_j on P_j's
                 rows, where X_l is the inner fixed point computed against
                 Y_l. X_l = base_l | (X_l & P_j), and Y_(l+1) is the union of
                 base_l and the row's X_l.
+    x_last:     per persistence set, X & P_j on P_j's rows at the last
+                Y-step, the one that left Y unchanged.
 
     No mask here is changed after it is stored.
     """
 
     value: np.ndarray
-    final_x: list[np.ndarray]
     bases: list[np.ndarray]
     x_iterates: list[list[np.ndarray]]
+    x_last: list[np.ndarray]
+
+    @property
+    def x_steps(self) -> list[list[np.ndarray]]:
+        """Every Y-step's inner fixed points on their sets' rows, the last
+        step's included: valid ``x_seeds`` for a later run on the same
+        persistence sets whose reach set lies inside this run's."""
+        return [*self.x_iterates, self.x_last]
 
 
 def solve_persistence_reach(
@@ -151,7 +149,7 @@ def solve_persistence_reach(
     persist_block: np.ndarray,
     reach_mask: np.ndarray,
     *,
-    x_seeds: Sequence[np.ndarray] | None = None,
+    x_seeds: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> PersistenceReachResult:
     """States from which Player 0 forces: settle forever inside one of
     the persistence sets (the rows of ``persist_block``, t x n), or reach
@@ -170,36 +168,37 @@ def solve_persistence_reach(
     With base = Pre(Y) | reach, every inner iterate after the first is
     base | (X & P): base lies in every seed and every iterate, and the
     Pre term adds states of P only. So each inner chain starts from X_0
-    and gives X & P on P's rows; a set small against the game
-    (``ROW_CHAIN_RATIO``) is iterated on its rows alone, any other on
-    length-n masks. On a graph that is ``edge_bound``, a chain on masks
-    passes each Pre the rows of U = P & X_0 & ~base alone: rows of P in
-    base stay in every iterate and rows outside X_0 never come back, so
-    X_k & P = (base & P) | (X_k & U). A cold chain starts from the graph's
+    and gives X & P on P's rows. A cold chain starts from the graph's
     ``every_state`` and Y from its ``no_state``, so that the first Pre of
     each chain is read from the out-degrees rather than counted by the
-    kernel; both stay one counted Pre.
+    kernel; both stay one counted Pre. A cold chain on a set small against
+    the game (``ROW_CHAIN_RATIO``) is iterated on the set's rows alone, any
+    other on length-n masks. On a graph that is ``edge_bound``, a chain on
+    masks passes each Pre the rows of U = P & ~base alone: rows of P in
+    base stay in every iterate, so X_k & P = (base & P) | (X_k & U).
 
-    ``x_seeds`` warm-starts the inner fixed points, one seed per set;
-    each seed must dominate every inner fixed point of this run.
+    ``x_seeds`` warm-starts the inner fixed points: per Y-step l, per set
+    P_j, a mask on P_j's rows that holds X_l & P_j of this run, where X_l
+    is the inner fixed point against Y_l; a step past the last takes the
+    last. :attr:`PersistenceReachResult.x_steps` of a run with more to
+    reach is one. A seeded chain starts from X_0 = base | seed, so it has
+    only U = seed & ~base to decide: rows of P outside the seed never come
+    back. It runs on P's rows, or on an ``edge_bound`` graph on U's rows
+    alone, with no pass over all n states.
     """
     game = engine.game
     n = game.n
-    if persist_block.shape[1:] != (n,) or any(
-        b.shape != (n,) for b in (reach_mask, *(x_seeds or ()))
-    ):
+    if persist_block.shape[1:] != (n,) or reach_mask.shape != (n,):
         raise ValueError("set universe does not match game")
-    if x_seeds is not None and len(x_seeds) != len(persist_block):
-        raise ValueError(f"{len(x_seeds)} seeds for {len(persist_block)} persistence sets")
     slices = engine.row_slices(persist_block)
-    starts: list[_Start]
-    if x_seeds is None:
-        starts = [(game.every_state, None, None, n)] * len(slices)
-    else:
-        starts = [
-            (seed.astype(np.int32), seed, seed[rows.rows], np.count_nonzero(seed))
-            for seed, rows in zip(x_seeds, slices)
-        ]
+    if x_seeds is not None:
+        if not x_seeds:
+            raise ValueError("no seed step")
+        for row in x_seeds:
+            if len(row) != len(slices):
+                raise ValueError(f"{len(row)} seeds for {len(slices)} persistence sets")
+            if any(s.shape != rows.rows.shape for s, rows in zip(row, slices)):
+                raise ValueError("a seed does not match its persistence set's rows")
     y = game.no_state
     # Y only grows along the chain, so Pre(Y) is tracked from the empty set;
     # Pre of no_state leaves the tracker there.
@@ -211,57 +210,85 @@ def solve_persistence_reach(
         base = engine.pre(y, tracker=y_counts)
         base |= reach_mask
         new_y = base.copy()
-        # X in the kernel's int32 form, made once per step for the sets on
-        # their rows: base, with the rows of the set being iterated patched.
+        seeds = None if x_seeds is None else x_seeds[min(len(bases), len(x_seeds) - 1)]
+        # X in the kernel's int32 form, made once per step for the chains on
+        # rows: base, with the rows of the chain being iterated patched.
         x_int = None
         x_row: list[np.ndarray] = []
-        for rows, start in zip(slices, starts):
-            if rows.rows.size * ROW_CHAIN_RATIO <= n:
-                if x_int is None:
-                    x_int, base_size = base.astype(np.int32), np.count_nonzero(base)
-                x = _chain_on_rows(engine, rows, base, x_int, base_size, start)
+        for j, rows in enumerate(slices):
+            if seeds is None and rows.rows.size * ROW_CHAIN_RATIO > n:
+                x_row.append(_chain_on_masks(engine, rows, base, new_y))
+                continue
+            if x_int is None:
+                x_int, base_size = base.astype(np.int32), np.count_nonzero(base)
+            base_rows = base[rows.rows]
+            # A seeded chain runs on P's rows below the edge_bound gate and
+            # on U's rows above it, where cutting U (GameGraph.narrow, about
+            # 25 us a chain) saves more edges than it costs. Below the gate,
+            # narrowing made warm solves 1.25-1.62 times as slow, lower in at
+            # most 2 of 31 interleaved rounds in one process (mt and gr1emb;
+            # the series sweep at n=600, random games at n=600 and 2000; 2-core
+            # x86-64 VM). Seeded chains on length-n masks, where
+            # ROW_CHAIN_RATIO puts cold ones, read 0.88-0.99 of P's rows
+            # there, inside the rows' quartiles, for a length-n seed per chain.
+            if seeds is None or not game.edge_bound:
+                start = None if seeds is None else seeds[j] | base_rows
+                x = _chain_on_rows(engine, rows, base_rows, x_int, base_size, start)
                 new_y[rows.rows[x]] = True
             else:
-                x = _chain_on_masks(engine, rows, base, new_y, start)
+                # Only U = seed & ~base is left to decide, so the chain runs
+                # on U's rows; base & P is in new_y already.
+                at = np.flatnonzero(seeds[j] & ~base_rows)
+                u = game.narrow(rows, at)
+                none, every = np.zeros(at.size, dtype=bool), np.ones(at.size, dtype=bool)
+                on_u = _chain_on_rows(engine, u, none, x_int, base_size, every)
+                new_y[u.rows[on_u]] = True
+                x = base_rows
+                x[at[on_u]] = True
             x_row.append(x)
         if np.array_equal(new_y, y):
             break
         y = new_y
         bases.append(base)
         x_iterates.append(x_row)
-    final_x = []
-    for rows, on_rows in zip(slices, x_row):
-        x = base.copy()
-        x[rows.rows] = on_rows
-        final_x.append(x)
-    return PersistenceReachResult(y, final_x, bases, x_iterates)
+    return PersistenceReachResult(y, bases, x_iterates, x_row)
 
 
 def _chain_on_rows(
     engine: FixpointEngine,
     rows: RowSlice,
-    base: np.ndarray,
+    base_rows: np.ndarray,
     x_int: np.ndarray,
     base_size: int,
-    start: _Start,
+    start_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """X & P on P's rows (``rows``) of the greatest fixed point of
-    X -> (Pre(X) & P) | base below X_0 (``start``: X_0 in int32, as a mask,
-    on P's rows and its size).
+    """X & R on the rows R of ``rows`` of the greatest fixed point of
+    X -> (Pre(X) & P) | base below X_0, where R holds every row of P that
+    X_0 holds and base does not. ``start_rows`` is X_0 on R's rows, and
+    X_0 is base off R; None for X_0 = V (a cold chain).
 
-    ``x_int`` is base in int32; P's rows hold X while the chain runs and
-    base again when it returns."""
-    start_int, _, start_rows, start_size = start
+    ``x_int`` is base in int32 (``base_size`` states), and ``base_rows``
+    base on R's rows; R's rows of ``x_int`` hold X while the chain runs
+    and base again when it returns."""
     r = rows.rows
-    base_rows = base[r]
-    # X_1 = base | (Pre(X_0) & X_0 & P); it equals X_0 iff their sizes do.
-    x = engine.pre(start_int, within=rows)
-    if start_rows is not None:
+    if start_rows is None:
+        # X_1 = base | (Pre(V) & P) equals V iff base holds every state off
+        # R and X_1 every row of R.
+        x = engine.pre(engine.game.every_state, within=rows)
+        x |= base_rows
+        size = np.count_nonzero(x)
+        if base_size - np.count_nonzero(base_rows) + size == engine.game.n:
+            return x
+    else:
+        # X_1 = base | (Pre(X_0) & X_0 & P); it equals X_0 iff their sizes do.
+        x_int[r] = start_rows
+        x = engine.pre(x_int, within=rows)
         x &= start_rows
-    x |= base_rows
-    size = np.count_nonzero(x)
-    if base_size - np.count_nonzero(base_rows) + size == start_size:
-        return x
+        x |= base_rows
+        size = np.count_nonzero(x)
+        if size == np.count_nonzero(start_rows):
+            x_int[r] = base_rows
+            return x
     x_int[r] = x
     while True:
         nxt = engine.pre(x_int, within=rows)
@@ -281,19 +308,16 @@ def _chain_on_masks(
     rows: RowSlice,
     base: np.ndarray,
     new_y: np.ndarray,
-    start: _Start,
 ) -> np.ndarray:
-    """:func:`_chain_on_rows` on length-n masks: X & P on P's rows of the
-    same greatest fixed point, whose X is ORed into ``new_y``."""
-    x, bound, start_rows, size = start
+    """:func:`_chain_on_rows` of a cold chain on length-n masks: X & P on
+    P's rows of the same greatest fixed point, whose X is ORed into
+    ``new_y``."""
+    x, bound, size = engine.game.every_state, None, base.size
     within = rows
     if engine.game.edge_bound:
-        # Rows of P in base stay in every iterate and rows outside X_0 never
-        # come back, so each Pre need only decide U = P & X_0 & ~base.
-        undecided = ~base[rows.rows]
-        if start_rows is not None:
-            undecided &= start_rows
-        within = engine.game.narrow(rows, undecided)
+        # Rows of P in base stay in every iterate, so each Pre need only
+        # decide U = P & ~base.
+        within = engine.game.narrow(rows, np.flatnonzero(~base[rows.rows]))
     # An inner iterate never grows, so an unchanged size means an unchanged
     # set.
     while True:
@@ -402,10 +426,13 @@ def solve_stable_conjunction(
     iterate, in declaration order, so predecessor counts are
     deterministic. Row slices are built once per block object.
 
-    With ``warm`` the inner fixed points are seeded with their values
-    from the previous outer round. Those values only shrink as the
-    outer set shrinks, so the seeds stay above every inner fixed point
-    of the current round; the outer chain restarts from empty either way.
+    With ``warm`` each Y-step's inner fixed points are seeded from the
+    same step of the previous outer round, and a step past that round's
+    last from its last. Z only shrinks, so the reach set shrinks, and by
+    induction on l so do Y_l, base_l and each X_l: every seed holds the
+    inner fixed point it seeds. Off its set every iterate is the new
+    base, so a chain has only the seed's rows outside base to decide.
+    The outer chain restarts from empty either way.
 
     With ``record`` the iterate chains of each conjunct are kept from
     the final outer round -- the round evaluated against the winning
@@ -415,7 +442,7 @@ def solve_stable_conjunction(
     engine = FixpointEngine(game)
     stats = engine.stats
     m = len(persist_blocks)
-    seeds: list[list[np.ndarray] | None] = [None] * m
+    seeds: list[list[list[np.ndarray]] | None] = [None] * m
     traces: list[ModeTrace] | None = [None] * m if record else None
 
     t0 = time.perf_counter()
@@ -429,7 +456,7 @@ def solve_stable_conjunction(
         for i, block in enumerate(persist_blocks):
             res = solve_persistence_reach(engine, block, exit_masks[i] & pre_z, x_seeds=seeds[i])
             if warm:
-                seeds[i] = res.final_x
+                seeds[i] = res.x_steps
             new_z &= res.value
             # Only a round that leaves Z unchanged is final; the traces of
             # any other round would be thrown away.

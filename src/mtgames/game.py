@@ -281,11 +281,10 @@ class GameGraph:
         indptr, indices = self._take_rows(self._indptr, self._indices, self._outdeg[rows], rows)
         return RowSlice(rows, indptr, indices, self._pre_floor[rows], self._pre_every[rows])
 
-    def narrow(self, rows: RowSlice, keep: np.ndarray) -> RowSlice:
-        """The row slice of the rows of ``rows`` that ``keep``, one boolean
-        per row, holds, built from ``rows``' own arrays; the graph's one
-        shared slice of no row when ``keep`` holds none."""
-        at = np.flatnonzero(keep)
+    def narrow(self, rows: RowSlice, at: np.ndarray) -> RowSlice:
+        """The row slice of the rows of ``rows`` at the increasing positions
+        ``at``, built from ``rows``' own arrays; the graph's one shared
+        slice of no row when ``at`` is empty."""
         if not at.size:
             return self._no_rows
         degree = rows.indptr[at + 1] - rows.indptr[at]

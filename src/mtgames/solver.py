@@ -28,7 +28,9 @@ from .specs import BoundSpec, MTSpec, bind_spec, require_exclusive
 class SolveOptions:
     """Solver switches.
 
-    warm:   seed inner fixed points from the previous outer round.
+    warm:   seed each Y-step's inner fixed points from the same step of the
+            previous outer round (a step past its last from its last).
+            The answer is the same; each inner chain settles no later.
     record: keep iterate-rank traces for strategy extraction.
     """
 

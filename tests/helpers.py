@@ -697,10 +697,15 @@ def extract_strategy_loop(game: GameGraph, spec: MTSpec, result) -> Strategy:
 def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
     """The iteration of ``fixpoint.solve_persistence_reach`` with every Pre
     over the whole graph (``pre_where``) and every iterate kept as a
-    length-n mask. Returns (value, final_x, y_iterates, bases, x_iterates,
+    length-n mask. Returns (value, last_x, y_iterates, bases, x_iterates,
     pre_calls), where y_iterates runs from Y_0 = empty to the fixed point,
     bases[l] = Pre(Y_l) | reach and x_iterates[l][j] is the inner fixed
-    point of set j against Y_l, for every rank l that grew Y."""
+    point of set j against Y_l, for every rank l that grew Y, and last_x
+    holds the inner fixed points of the last step, which left Y unchanged.
+
+    ``seeds`` are per Y-step, per set P_j, masks on P_j's rows, the last
+    taken for every later step: set j's chain at step l starts from base_l
+    with the seed's states of P_j added, rather than from every state."""
 
     def pre(mask):
         return pre_where(game, StateSet.from_mask(mask)).bits
@@ -712,7 +717,11 @@ def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
         calls += 1
         new_y, row = base.copy(), []
         for j, p in enumerate(block):
-            x = np.ones(game.n, dtype=bool) if seeds is None else seeds[j]
+            if seeds is None:
+                x = np.ones(game.n, dtype=bool)
+            else:
+                x = base.copy()
+                x[p] |= seeds[min(len(bases), len(seeds) - 1)][j]
             while True:
                 nxt = x & ((pre(x) & p) | base)
                 calls += 1
@@ -727,6 +736,13 @@ def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
         ys.append(y)
         bases.append(base)
         xs.append(row)
+
+
+def seeds_on_rows(block, steps):
+    """Per-step seeds of ``solve_persistence_reach`` from length-n inner
+    fixed points, ``steps[l][j]`` set j's at step l: each on its set's
+    rows."""
+    return [[x[p] for x, p in zip(row, block, strict=True)] for row in steps]
 
 
 def full_iterates(n: int, rows, bases, x_iterates):

@@ -11,11 +11,12 @@ from mtgames.benchgen import (
     ROOM_BOXES,
     RobotWorld,
     gen_cleaning_robot,
+    gen_fixpoint_witness,
     gen_multi_target_series,
     gen_random_game,
     scaled_rooms,
 )
-from mtgames.errors import ValidationError
+from mtgames.errors import BoundExceeded, ValidationError
 from mtgames.game import serialize_game, validate_graph
 from mtgames.solver import solve_mt
 from mtgames.specs import ModeSpec, MTSpec, bind_spec, format_spec_file, require_exclusive
@@ -289,6 +290,43 @@ def test_series_rejects_bad_extras():
         gen_multi_target_series(20, 2, 2.0, 0, extras=[])
     with pytest.raises(ValidationError, match="extras"):
         gen_multi_target_series(20, 2, 2.0, 0, extras=[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point witness family
+
+
+def test_fixpoint_witness_shape():
+    # k = 2: a0 a1 b c0 c1 d e0 e1 e2 e3, every state Player 0's.
+    game, spec = gen_fixpoint_witness(2)
+    assert game.n == 10
+    assert not any(game.owner(v) for v in range(game.n))
+    assert [game.successors(v).tolist() for v in range(game.n)] == [
+        [1], [2], [3], [4], [5], [5], [7], [8], [9], [9]
+    ]
+    assert {p: sorted(game.prop_set(p)) for p in game.props} == {
+        "M1": [0, 1, 2, 3, 4],
+        "T1": [0, 1],
+        "M2": [5, 6, 8, 9],
+        "T2": [5],
+        "M3": [7],
+        "T3": [7],
+    }
+    assert spec == MTSpec(tuple(ModeSpec(f"M{i}", (f"T{i}",)) for i in (1, 2, 3)))
+    assert_modes_partition_states(game, spec)
+    # Everything up to d wins; every e state runs into the last, which
+    # stays in M2 outside T2.
+    assert sorted(solve_mt(game, spec).winning) == list(range(6))
+    # With k = 1 the only odd e state is the last, and M3 labels nothing.
+    game, _ = gen_fixpoint_witness(1)
+    assert game.n == 6 and not list(game.prop_set("M3"))
+
+
+def test_fixpoint_witness_rejects_bad_sizes():
+    with pytest.raises(ValidationError, match="k must be positive"):
+        gen_fixpoint_witness(0)
+    with pytest.raises(BoundExceeded):
+        gen_fixpoint_witness(10**7)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ the persistence-or-reach subroutine, and iterate-trace recording."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def members(mask):
 def subset(a, b):
     """Mask ``a`` is a subset of mask ``b``."""
     return not (a & ~b).any()
+
+
+def padded_seeds(g, persist, steps, seed):
+    """Per-step seeds on the sets' rows: ``steps`` (a run's x_steps), each
+    with random rows added; any superset of a step's inner fixed points is
+    a valid seed for that step."""
+    return [
+        [
+            x | helpers.random_subset(seed + 900 + 7 * l + j, g.n).bits[p]
+            for j, (x, p) in enumerate(zip(row, persist))
+        ]
+        for l, row in enumerate(steps)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +111,30 @@ def test_persistence_rejects_sets_of_another_universe(g2_game):
             engine,
             np.ones((1, 2), dtype=bool),
             np.zeros(2, bool),
-            x_seeds=[np.ones(3, dtype=bool)],
+            x_seeds=[[np.ones(3, dtype=bool)]],
+        )
+    # A seed is given on its set's rows: two rows here, at every step.
+    with pytest.raises(ValueError):
+        solve_persistence_reach(
+            engine,
+            np.array([[True, False]]),
+            np.zeros(2, bool),
+            x_seeds=[[np.ones(1, dtype=bool)], [np.ones(2, dtype=bool)]],
         )
 
 
 def test_persistence_rejects_a_seed_count_other_than_the_set_count(g2_game):
     engine = FixpointEngine(g2_game)
     persist = np.ones((2, 2), dtype=bool)
+    good = [np.ones(2, dtype=bool)] * 2
     for count in (1, 3):
-        with pytest.raises(ValueError, match="seeds for 2 persistence sets"):
-            solve_persistence_reach(
-                engine, persist, np.zeros(2, bool), x_seeds=[np.ones(2, dtype=bool)] * count
-            )
+        # At the first step or at a later one.
+        wrong = [np.ones(2, dtype=bool)] * count
+        for steps in ([wrong], [good, wrong]):
+            with pytest.raises(ValueError, match="seeds for 2 persistence sets"):
+                solve_persistence_reach(engine, persist, np.zeros(2, bool), x_seeds=steps)
+    with pytest.raises(ValueError, match="no seed step"):
+        solve_persistence_reach(engine, persist, np.zeros(2, bool), x_seeds=[])
 
 
 def test_persistence_frozen_g2(g2_game):
@@ -136,7 +162,8 @@ def test_persistence_value_contains_reach_and_stay_regions():
         assert subset(reach.bits, res.value)
         stay = engine.gfp(stay_op(engine, p))
         assert subset(stay.bits, res.value)
-        assert subset(res.final_x[0], res.value)
+        # The last step's inner fixed point, on P's rows.
+        assert subset(res.x_last[0], res.value[p.bits])
 
 
 def test_persistence_warm_seeds_reproduce_value():
@@ -149,10 +176,13 @@ def test_persistence_warm_seeds_reproduce_value():
         persist = block(g.n, p, q)
         cold = solve_persistence_reach(engine, persist, reach.bits)
         before = engine.stats.pre_count
-        warm = solve_persistence_reach(engine, persist, reach.bits, x_seeds=cold.final_x)
+        warm = solve_persistence_reach(engine, persist, reach.bits, x_seeds=cold.x_steps)
         warm_cost = engine.stats.pre_count - before
         assert np.array_equal(warm.value, cold.value)
         assert warm_cost <= before
+        # Seeded with its own inner fixed points, a chain settles at once:
+        # one Pre per chain and one per Pre(Y).
+        assert warm_cost == (len(cold.bases) + 1) * 3
 
 
 # Values of fixpoint.ROW_CHAIN_RATIO that send every persistence set to one
@@ -175,7 +205,10 @@ def rows_of(engine, persist):
 @pytest.mark.parametrize("warm", [False, True])
 def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, path):
     force_path(monkeypatch, path)
-    for seed in range(15):
+    # Every graph treated as edge-bound, whose chains are narrowed, and as
+    # not.
+    for edge_bound, seed in itertools.product((False, True), range(15)):
+        force_edge_bound(monkeypatch, edge_bound)
         g = helpers.random_graph(seed)
         p = helpers.random_subset(seed + 11, g.n)
         q = helpers.random_subset(seed + 33, g.n)
@@ -183,18 +216,20 @@ def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, path):
         persist = block(g.n, p, q)
         seeds = None
         if warm:
-            # Any superset of every inner fixed point is a valid seed.
             cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
-            seeds = [
-                x | helpers.random_subset(seed + 900 + j, g.n).bits
-                for j, x in enumerate(cold.final_x)
-            ]
+            seeds = padded_seeds(g, persist, cold.x_steps, seed)
         engine = FixpointEngine(g)
         res = solve_persistence_reach(engine, persist, reach, x_seeds=seeds)
-        value, final_x, *_, calls = helpers.persistence_reach_iterates(g, persist, reach, seeds)
+        value, last_x, _, bases, xs, calls = helpers.persistence_reach_iterates(
+            g, persist, reach, seeds
+        )
         assert np.array_equal(res.value, value), seed
-        assert all(map(np.array_equal, res.final_x, final_x)), seed
+        assert all(map(np.array_equal, res.x_last, helpers.seeds_on_rows(persist, [last_x])[0]))
         assert engine.stats.pre_count == calls, seed
+        # Every step's base and inner fixed points are the plain loop's.
+        assert all(map(np.array_equal, res.bases, bases)), seed
+        for row, ref_row in zip(res.x_iterates, helpers.seeds_on_rows(persist, xs), strict=True):
+            assert all(map(np.array_equal, row, ref_row)), seed
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -202,15 +237,18 @@ def test_first_inner_step_stays_inside_the_seed(monkeypatch, path):
     # Player 0 states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to
     # reach: the inner fixed point is empty, so the seed {0} is valid. Pre of
     # the seed inside P is {1}, of the seed's size but outside it; the first
-    # step is {1} & {0}, empty, and not {1}.
+    # step is {1} & {0}, empty, and not {1}. On P's rows and, narrowed, on
+    # U's.
     force_path(monkeypatch, path)
     g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
     persist = np.array([[True, True, False]])
-    engine = FixpointEngine(g)
-    seeds = [np.array([True, False, False])]
-    res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
-    assert members(res.value) == set() and members(res.final_x[0]) == set()
-    assert engine.stats.pre_count == 3
+    seeds = [[np.array([True, False])]]
+    for edge_bound in (False, True):
+        force_edge_bound(monkeypatch, edge_bound)
+        engine = FixpointEngine(g)
+        res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
+        assert members(res.value) == set() and members(res.x_last[0]) == set()
+        assert engine.stats.pre_count == 3
 
 
 def test_recorded_iterates_form_increasing_chain(monkeypatch):
@@ -287,9 +325,9 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
 @pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("warm", [False, True])
 def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, path):
-    # An empty set, the full set and random ones: on either path every inner
-    # fixed point comes back as X & P_j on P_j's rows, and final_x and the
-    # trace built from them are the plain loop's.
+    # An empty set, the full set and random ones: on either path, seeded or
+    # not, every inner fixed point comes back as X & P_j on P_j's rows, and
+    # the last step's and the trace built from them are the plain loop's.
     force_path(monkeypatch, path)
     for seed in range(10):
         g = helpers.random_graph(seed)
@@ -300,18 +338,15 @@ def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, path):
         seeds = None
         if warm:
             cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
-            seeds = [
-                x | helpers.random_subset(seed + 900 + j, g.n).bits
-                for j, x in enumerate(cold.final_x)
-            ]
+            seeds = padded_seeds(g, persist, cold.x_steps, seed)
         engine = FixpointEngine(g)
         res = solve_persistence_reach(engine, persist, reach, x_seeds=seeds)
         rows = rows_of(engine, persist)
         sizes = [r.size for r in rows]
         assert sizes[:2] == [0, g.n]
-        assert all([x.size for x in row] == sizes for row in res.x_iterates), seed
-        _, final_x, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach, seeds)
-        assert all(map(np.array_equal, res.final_x, final_x)), seed
+        assert all([x.size for x in row] == sizes for row in res.x_steps), seed
+        _, last_x, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach, seeds)
+        assert all(map(np.array_equal, res.x_last, helpers.seeds_on_rows(persist, [last_x])[0]))
         tr = ModeTrace.from_iterates(g.n, rows, res.bases, res.x_iterates)
         assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, len(sets)))
 
@@ -329,10 +364,14 @@ def test_inner_iterates_are_base_and_their_part_in_the_set(warm):
         game, spec = gen_random_game(60, 3, [2, 1, 2], 2.0, seed)
         persist, exits = _bound_parts(game, spec)
         for i, block_i in enumerate(persist):
-            # Warm seeds: the inner fixed points of a run with more to reach.
+            # Warm seeds: each step's inner fixed points of a run with more
+            # to reach.
             seeds = None
             if warm:
-                seeds = helpers.persistence_reach_iterates(game, block_i, exits[i])[1]
+                _, last, _, _, more, _ = helpers.persistence_reach_iterates(
+                    game, block_i, exits[i]
+                )
+                seeds = helpers.seeds_on_rows(block_i, [*more, last])
             reach = exits[i] & helpers.random_subset(seed + 70 + i, game.n).bits
             _, _, ys, bases, xs, _ = helpers.persistence_reach_iterates(
                 game, block_i, reach, seeds
@@ -448,17 +487,21 @@ def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
 
     def kept(*args, **kwargs):
         res = original(*args, **kwargs)
-        runs.append((res.value, res.final_x))
+        runs.append((res.value, res.x_steps))
         return res
 
     monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", kept)
+    # The size of each cold chain on rows; a seeded chain runs on rows on
+    # either path.
     on_rows = []
     chain = mtgames.fixpoint._chain_on_rows
-    monkeypatch.setattr(
-        mtgames.fixpoint,
-        "_chain_on_rows",
-        lambda engine, rows, *args: on_rows.append(rows.rows.size) or chain(engine, rows, *args),
-    )
+
+    def logged(engine, rows, base_rows, x_int, base_size, start_rows=None):
+        if start_rows is None:
+            on_rows.append(rows.rows.size)
+        return chain(engine, rows, base_rows, x_int, base_size, start_rows)
+
+    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_rows", logged)
     rounds = set()
     for seed in range(4):
         game, spec = gen_random_game(80, 4, [3, 1, 2, 1], 2.0, seed)
@@ -469,7 +512,7 @@ def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
             on_rows.clear()
             result = _solve(algo, game, spec, warm)
             rounds.add(result.stats.outer_iterations)
-            # Only an empty set takes the rows when masks are forced.
+            # Only an empty set takes the rows cold when masks are forced.
             assert on_rows if path == "rows" else not any(on_rows)
             got[path] = (result, list(runs))
         (rows, rows_runs), (masks, masks_runs) = got["rows"], got["masks"]
@@ -477,9 +520,11 @@ def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
         assert rows.stats.outer_iterations == masks.stats.outer_iterations, seed
         assert rows.winning == masks.winning, seed
         assert len(rows_runs) == len(masks_runs) > 0
-        for (value, final_x), (value_m, final_x_m) in zip(rows_runs, masks_runs):
+        for (value, steps), (value_m, steps_m) in zip(rows_runs, masks_runs):
             assert np.array_equal(value, value_m), seed
-            assert all(map(np.array_equal, final_x, final_x_m)), seed
+            assert len(steps) == len(steps_m), seed
+            for row, row_m in zip(steps, steps_m):
+                assert all(map(np.array_equal, row, row_m)), seed
         if algo != "mt":
             continue
         persist, exits = _bound_parts(game, spec)
@@ -823,7 +868,8 @@ def _outcome(result):
 @pytest.mark.parametrize("algo", ["mt", "gr1emb"])
 def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_owners):
     # The same winning set, work and trace ranks with every graph treated
-    # as edge-bound and with none, on either inner path.
+    # as edge-bound and with none, on either inner path. Cold chains are
+    # narrowed on the masks path only, seeded ones on either.
     import mtgames.game
     from mtgames.benchgen import gen_random_game
     from mtgames.solver import SolveOptions, solve_mt
@@ -847,15 +893,16 @@ def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_own
             force_edge_bound(monkeypatch, on)
             narrowed.clear()
             got.append(_outcome(solve(game, spec, SolveOptions(warm=warm, record=True))))
-            assert bool(narrowed) == (on and path == "masks"), (path, seed, on)
+            seeded = warm and got[-1][2] > 1
+            assert bool(narrowed) == (on and (path == "masks" or seeded)), (path, seed, on)
         assert got[0] == got[1], (path, seed)
 
 
 def _masks_chains(monkeypatch):
-    """Log every inner chain on length-n masks: per chain, the states of
-    U = P & X_0 & ~base, worked out from the whole-graph masks, the size of
-    P & ~base, and the row slices its Pre calls carried. Pre calls outside
-    any chain are logged as None."""
+    """Log every inner chain on length-n masks, which are all cold: per
+    chain, the states of U = P & ~base, worked out from the whole-graph
+    masks, the size of P & ~base, and the row slices its Pre calls carried.
+    Pre calls outside any such chain are logged as None."""
     import mtgames.fixpoint
 
     chains = []
@@ -864,17 +911,15 @@ def _masks_chains(monkeypatch):
     chain = mtgames.fixpoint._chain_on_masks
     original = mtgames.fixpoint.pre
 
-    def logged_chain(engine, rows, base, new_y, start):
+    def logged_chain(engine, rows, base, new_y):
         undecided = np.zeros(base.size, dtype=bool)
         undecided[rows.rows] = True
         undecided &= ~base
-        if start[1] is not None:
-            undecided &= start[1]
         running[0] = []
         outside = np.count_nonzero(~base[rows.rows])
         chains.append((np.flatnonzero(undecided), outside, running[0]))
         try:
-            return chain(engine, rows, base, new_y, start)
+            return chain(engine, rows, base, new_y)
         finally:
             running[0] = None
 
@@ -899,6 +944,7 @@ def test_masks_chains_read_only_their_undecided_rows(monkeypatch, algo, warm):
     force_edge_bound(monkeypatch, True)
     chains = _masks_chains(monkeypatch)
     decided = narrowed_by_seed = 0
+    masks_rounds = set()
     for seed in range(4):
         game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
         src, dst = game.edge_arrays
@@ -919,12 +965,15 @@ def test_masks_chains_read_only_their_undecided_rows(monkeypatch, algo, warm):
                 decided += 1
                 assert all(w.indptr[-1] == 0 for w in slices)
             narrowed_by_seed += undecided.size < outside
-        # Every counted Pre is Pre(Y), Pre(Z) or one of a chain's.
+        # Every counted Pre is Pre(Y), Pre(Z) or one of a chain's; warm,
+        # a seeded chain runs on rows, and its Pre calls count as outside.
         assert sliced > 0
         assert sliced + outside_chains == result.stats.pre_count
+        masks_rounds.add(result.stats.outer_iterations)
     assert decided > 0
-    # Only a warm seed keeps rows of P & ~base out of U.
-    assert (narrowed_by_seed > 0) == warm
+    # No seed reaches a chain on masks: U is all of P & ~base.
+    assert narrowed_by_seed == 0
+    assert max(masks_rounds) > 1
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -932,20 +981,212 @@ def test_warm_seed_narrows_the_undecided_rows(monkeypatch, seeded):
     # The graph of test_first_inner_step_stays_inside_the_seed: Player 0
     # states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to reach, so
     # base is empty. Cold, U is all of P; seeded with {0}, U is {0}, and
-    # state 1, outside the seed, is never counted.
-    force_path(monkeypatch, "masks")
+    # state 1, outside the seed, is never counted. The cold chain is
+    # narrowed on masks; a seeded chain runs on U's rows on either path.
+    if not seeded:
+        force_path(monkeypatch, "masks")
     force_edge_bound(monkeypatch, True)
-    chains = _masks_chains(monkeypatch)
+    calls = _counting_pre(monkeypatch)
     g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
     persist = np.array([[True, True, False]])
-    seeds = [np.array([True, False, False])] if seeded else None
+    seeds = [[np.array([True, False])]] if seeded else None
     res = solve_persistence_reach(FixpointEngine(g), persist, np.zeros(3, bool), x_seeds=seeds)
     assert members(res.value) == set()
     want = [0] if seeded else [0, 1]
-    undecided, _, slices = next(filter(None, chains))
-    assert undecided.tolist() == want
+    slices = [kwargs["within"] for _, kwargs in calls if kwargs["within"] is not None]
     assert slices and all(w.rows.tolist() == want for w in slices)
-    assert len(list(filter(None, chains))) == 1
+    # One Y-step, so one chain besides Pre(Y).
+    assert sum(kwargs["within"] is None for _, kwargs in calls) == 1
+
+
+@dataclass
+class _SeededRun:
+    """One seeded ``solve_persistence_reach`` run: its arguments, per inner
+    chain the row slices its Pre calls carried, and the count of its Pre
+    calls outside a chain."""
+
+    game: object
+    block: np.ndarray
+    reach: np.ndarray
+    seeds: list
+    chains: list = field(default_factory=list)
+    others: int = 0
+
+
+def _seeded_runs(monkeypatch):
+    """Log every seeded ``solve_persistence_reach`` run as a _SeededRun."""
+    import mtgames.fixpoint
+
+    runs = []
+    # The run and the chain that are going on, if any.
+    run, chain_slices = [None], [None]
+    solve_reach = mtgames.fixpoint.solve_persistence_reach
+    chain = mtgames.fixpoint._chain_on_rows
+    original = mtgames.fixpoint.pre
+
+    def logged_reach(engine, persist, reach, *, x_seeds=None):
+        if x_seeds is None:
+            return solve_reach(engine, persist, reach)
+        run[0] = _SeededRun(engine.game, persist, reach, x_seeds)
+        runs.append(run[0])
+        try:
+            return solve_reach(engine, persist, reach, x_seeds=x_seeds)
+        finally:
+            run[0] = None
+
+    def logged_chain(*args):
+        chain_slices[0] = []
+        run[0].chains.append(chain_slices[0])
+        try:
+            return chain(*args)
+        finally:
+            chain_slices[0] = None
+
+    def logged_pre(game, mask, within=None, tracker=None):
+        if chain_slices[0] is not None:
+            chain_slices[0].append(within)
+        elif run[0] is not None:
+            run[0].others += 1
+        return original(game, mask, within=within, tracker=tracker)
+
+    monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", logged_reach)
+    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_rows", logged_chain)
+    monkeypatch.setattr(mtgames.fixpoint, "pre", logged_pre)
+    return runs
+
+
+@pytest.mark.parametrize("edge_bound", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_seeded_chains_read_only_their_undecided_rows(monkeypatch, algo, edge_bound):
+    # Each seeded chain, at Y-step l for set P_j, has U = seed & ~base_l
+    # left to decide, with seed the step's seed on P_j's rows and base_l
+    # worked out by the plain loop. With the gate on, every Pre of the chain
+    # carries exactly U's rows, with their own successor lists; with it off,
+    # P's rows. Every Pre of the run is Pre(Y) or a chain's.
+    from mtgames.benchgen import gen_random_game
+
+    force_edge_bound(monkeypatch, edge_bound)
+    runs = _seeded_runs(monkeypatch)
+    narrowed = chains_seen = 0
+    for seed in range(3):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        src, dst = game.edge_arrays
+        degree = np.bincount(src, minlength=game.n)
+        runs.clear()
+        _solve(algo, game, spec, warm=True)
+        assert runs, seed
+        for run in runs:
+            persist, seeds = run.block, run.seeds
+            value, _, _, bases, _, calls = helpers.persistence_reach_iterates(
+                game, persist, run.reach, seeds
+            )
+            bases.append(helpers.pre_where(game, StateSet.from_mask(value)).bits | run.reach)
+            assert run.others == len(bases)
+            assert run.others + sum(map(len, run.chains)) == calls
+            assert len(run.chains) == len(bases) * len(persist)
+            for k, slices in enumerate(run.chains):
+                l, j = divmod(k, len(persist))
+                p = persist[j]
+                undecided = seeds[min(l, len(seeds) - 1)][j] & ~bases[l][p]
+                want = np.flatnonzero(p)[undecided] if edge_bound else np.flatnonzero(p)
+                assert slices
+                for within in slices:
+                    assert np.array_equal(within.rows, want)
+                    assert np.array_equal(within.indices, dst[np.isin(src, want)])
+                    assert np.array_equal(np.diff(within.indptr), degree[want])
+                chains_seen += 1
+                # A seed keeps rows of P & ~base out of U.
+                narrowed += np.count_nonzero(undecided) < np.count_nonzero(~bases[l][p])
+    assert chains_seen and narrowed
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
+def test_each_step_seed_holds_that_steps_fixed_point(monkeypatch, algo):
+    # A warm run's seed for Y-step l (the last one past its end) holds the
+    # inner fixed point X_l & P_j of that run, as the plain loop computes
+    # it from every state; the seeded run's steps are the plain loop's.
+    from mtgames.benchgen import gen_random_game
+
+    runs = _seeded_runs(monkeypatch)
+    steps = set()
+    for seed in range(4):
+        game, spec = gen_random_game(120, 4, [3, 1, 2, 1], 2.0, seed)
+        runs.clear()
+        _solve(algo, game, spec, warm=True)
+        for run in runs:
+            _, last, _, _, xs, _ = helpers.persistence_reach_iterates(game, run.block, run.reach)
+            fixed = helpers.seeds_on_rows(run.block, [*xs, last])
+            steps.add(len(fixed))
+            for l, row in enumerate(fixed):
+                for seed_row, x in zip(run.seeds[min(l, len(run.seeds) - 1)], row, strict=True):
+                    assert subset(x, seed_row), (seed, l)
+    assert max(steps) >= 3
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_warm_never_costs_more_than_cold(algo):
+    # Every seed lies inside every state, so each seeded chain settles no
+    # later than its cold one, and the Y and Z chains are the same.
+    from mtgames.benchgen import gen_random_game
+
+    saved = 0
+    for seed in range(40):
+        n = 30 + 7 * seed
+        game, spec = gen_random_game(n, 3, [1 + seed % 3, 2, 1], 1.5 + seed % 3 * 0.5, seed)
+        cold = _solve(algo, game, spec, warm=False)
+        warm = _solve(algo, game, spec, warm=True)
+        assert warm.winning == cold.winning, seed
+        assert warm.stats.outer_iterations == cold.stats.outer_iterations, seed
+        assert warm.stats.pre_count <= cold.stats.pre_count, seed
+        saved += cold.stats.pre_count - warm.stats.pre_count
+    assert saved > 0
+
+
+# ---------------------------------------------------------------------------
+# The O(Σt·n²) bound on the witness family (benchgen.gen_fixpoint_witness),
+# whose k + 1 outer rounds each run a Y chain of k + 2 steps
+
+
+def _witness_work(k, algo, warm):
+    """A witness solve and its pre_count over Σt·n²."""
+    from mtgames.benchgen import gen_fixpoint_witness
+
+    game, spec = gen_fixpoint_witness(k)
+    result = _solve(algo, game, spec, warm)
+    return result, result.stats.pre_count / (spec.sum_targets * game.n**2)
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_witness_warm_solves_meet_the_quadratic_bound(algo):
+    # Seeded per Y-step, each inner chain re-decides only the states its
+    # step lost since the last round.
+    for k in (20, 40, 80):
+        result, ratio = _witness_work(k, algo, warm=True)
+        assert result.stats.outer_iterations == k + 1
+        assert ratio <= 0.1, (k, ratio)
+
+
+def test_witness_agrees_with_the_reference_and_warm_with_cold():
+    from mtgames.benchgen import gen_fixpoint_witness
+    from mtgames.solver import solve_mt_reference
+
+    game, spec = gen_fixpoint_witness(10)
+    want = solve_mt_reference(game, spec)
+    assert len(want) == 22
+    for algo in ("mt", "gr1emb"):
+        (cold, _), (warm, _) = (_witness_work(10, algo, w) for w in (False, True))
+        assert helpers.frozen(cold.winning) == helpers.frozen(warm.winning) == want
+        assert warm.stats.outer_iterations == cold.stats.outer_iterations
+        assert warm.stats.pre_count < cold.stats.pre_count
+        assert _outcome(warm)[3] == _outcome(cold)[3]
+
+
+def test_witness_cold_work_outgrows_the_quadratic_bound():
+    # Cold, every chain starts from every state: Θ(n³) Pre, so the ratio
+    # to Σt·n² roughly doubles with n.
+    ratios = [_witness_work(k, "mt", warm=False)[1] for k in (10, 20, 40)]
+    assert ratios[0] < ratios[1] < ratios[2], ratios
+    assert ratios[2] > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -973,10 +1214,10 @@ def _pinned_instance(name):
 
 
 PINNED_WORK = {
-    "random-0": ((647, 6), (563, 6), (1150, 6), (871, 6)),
-    "random-1": ((706, 7), (557, 7), (1211, 7), (910, 7)),
+    "random-0": ((647, 6), (419, 6), (1150, 6), (694, 6)),
+    "random-1": ((706, 7), (406, 7), (1211, 7), (690, 7)),
     "robot": ((209, 1), (209, 1), (289, 1), (289, 1)),
-    "series": ((679, 6), (607, 6), (1719, 6), (1352, 6)),
+    "series": ((679, 6), (461, 6), (1719, 6), (1050, 6)),
 }
 
 
