@@ -85,35 +85,6 @@ class FixpointEngine:
             x = nxt
 
 
-# A persistence set P runs its inner νX on P's own rows when the game has at
-# least this many times |P| states, and on length-n masks otherwise. On its
-# rows a chain makes a few more numpy calls (gathers and scatters of P's
-# rows) but no pass over all n states, which pays only when n is large
-# against |P|. Time of one cold solve_persistence_reach, with its ranks, on
-# P's rows over its time on length-n masks, for one random P on random games
-# of density 2 with 2% of the states to reach; both paths read their first
-# step from the out-degrees (2-core x86-64 VM, medians of 15, the median of
-# three sweeps):
-#
-#   n \ n/|P|  10    25    50    100   200   400
-#   600        1.08  1.05  1.10  1.06  1.17  1.15
-#   2000       1.11  1.06  1.04  0.99  1.05  1.02
-#   5000       0.83  0.82  0.79  0.76  0.76  0.77
-#   10000      0.84  0.82  0.77  0.78  0.79  0.78
-#   20000      0.90  0.79  0.80  0.76  0.79  0.78
-#
-# Up to about 5000 states a numpy call costs the same whatever its length,
-# and the rows lose a few percent; there the rule admits sets of at most
-# n/100 states, 6 at n=600. From 5000 states on these graphs are
-# edge_bound, and a chain on masks first narrows P to its undecided rows,
-# a dozen numpy calls that buy nothing here, where base holds little of P:
-# the rows win down to n/10, the masks at n/4 and n/2 (1.0-1.6, one sweep
-# at 5000 and 20000 states). The ratio stays at 100, which the graphs below
-# the gate set. It routes cold chains only: a seeded chain always runs on
-# rows (see solve_persistence_reach).
-ROW_CHAIN_RATIO = 100
-
-
 @dataclass
 class PersistenceReachResult:
     """Outcome of one persistence-or-reach computation, as boolean masks.
@@ -168,14 +139,16 @@ def solve_persistence_reach(
     With base = Pre(Y) | reach, every inner iterate after the first is
     base | (X & P): base lies in every seed and every iterate, and the
     Pre term adds states of P only. So each inner chain starts from X_0
-    and gives X & P on P's rows. A cold chain starts from the graph's
-    ``every_state`` and Y from its ``no_state``, so that the first Pre of
-    each chain is read from the out-degrees rather than counted by the
-    kernel; both stay one counted Pre. A cold chain on a set small against
-    the game (``ROW_CHAIN_RATIO``) is iterated on the set's rows alone, any
-    other on length-n masks. On a graph that is ``edge_bound``, a chain on
-    masks passes each Pre the rows of U = P & ~base alone: rows of P in
-    base stay in every iterate, so X_k & P = (base & P) | (X_k & U).
+    and gives X & P on P's rows. A cold chain starts from X_0 = V, the
+    graph's ``every_state``, and Y from its ``no_state``, so that the
+    first Pre of each chain is read from the out-degrees rather than
+    counted by the kernel; both stay one counted Pre.
+
+    The graph's ``edge_bound`` gate alone picks how a chain runs. Below
+    it a chain iterates on length-n masks. Above it a chain passes each
+    Pre the rows of U = X_0 & P & ~base alone, cut by
+    ``GameGraph.narrow``: rows of P in base stay in every iterate and
+    rows outside X_0 never join one, so X_k & P = (base & P) | (X_k & U).
 
     ``x_seeds`` warm-starts the inner fixed points: per Y-step l, per set
     P_j, a mask on P_j's rows that holds X_l & P_j of this run, where X_l
@@ -183,8 +156,7 @@ def solve_persistence_reach(
     last. :attr:`PersistenceReachResult.x_steps` of a run with more to
     reach is one. A seeded chain starts from X_0 = base | seed, so it has
     only U = seed & ~base to decide: rows of P outside the seed never come
-    back. It runs on P's rows, or on an ``edge_bound`` graph on U's rows
-    alone, with no pass over all n states.
+    back.
     """
     game = engine.game
     n = game.n
@@ -199,6 +171,7 @@ def solve_persistence_reach(
                 raise ValueError(f"{len(row)} seeds for {len(slices)} persistence sets")
             if any(s.shape != rows.rows.shape for s, rows in zip(row, slices)):
                 raise ValueError("a seed does not match its persistence set's rows")
+    on_rows = game.edge_bound
     y = game.no_state
     # Y only grows along the chain, so Pre(Y) is tracked from the empty set;
     # Pre of no_state leaves the tracker there.
@@ -211,40 +184,23 @@ def solve_persistence_reach(
         base |= reach_mask
         new_y = base.copy()
         seeds = None if x_seeds is None else x_seeds[min(len(bases), len(x_seeds) - 1)]
-        # X in the kernel's int32 form, made once per step for the chains on
-        # rows: base, with the rows of the chain being iterated patched.
-        x_int = None
+        if on_rows:
+            # X in the kernel's int32 form for the chains on rows: base, with
+            # the rows of the chain being iterated patched.
+            x_int, base_size = base.astype(np.int32), np.count_nonzero(base)
         x_row: list[np.ndarray] = []
         for j, rows in enumerate(slices):
-            if seeds is None and rows.rows.size * ROW_CHAIN_RATIO > n:
-                x_row.append(_chain_on_masks(engine, rows, base, new_y))
+            seed = None if seeds is None else seeds[j]
+            if not on_rows:
+                x_row.append(_chain_on_masks(engine, rows, base, new_y, seed))
                 continue
-            if x_int is None:
-                x_int, base_size = base.astype(np.int32), np.count_nonzero(base)
-            base_rows = base[rows.rows]
-            # A seeded chain runs on P's rows below the edge_bound gate and
-            # on U's rows above it, where cutting U (GameGraph.narrow, about
-            # 25 us a chain) saves more edges than it costs. Below the gate,
-            # narrowing made warm solves 1.25-1.62 times as slow, lower in at
-            # most 2 of 31 interleaved rounds in one process (mt and gr1emb;
-            # the series sweep at n=600, random games at n=600 and 2000; 2-core
-            # x86-64 VM). Seeded chains on length-n masks, where
-            # ROW_CHAIN_RATIO puts cold ones, read 0.88-0.99 of P's rows
-            # there, inside the rows' quartiles, for a length-n seed per chain.
-            if seeds is None or not game.edge_bound:
-                start = None if seeds is None else seeds[j] | base_rows
-                x = _chain_on_rows(engine, rows, base_rows, x_int, base_size, start)
-                new_y[rows.rows[x]] = True
-            else:
-                # Only U = seed & ~base is left to decide, so the chain runs
-                # on U's rows; base & P is in new_y already.
-                at = np.flatnonzero(seeds[j] & ~base_rows)
-                u = game.narrow(rows, at)
-                none, every = np.zeros(at.size, dtype=bool), np.ones(at.size, dtype=bool)
-                on_u = _chain_on_rows(engine, u, none, x_int, base_size, every)
-                new_y[u.rows[on_u]] = True
-                x = base_rows
-                x[at[on_u]] = True
+            # base & P is in new_y already.
+            x = base[rows.rows]
+            at = np.flatnonzero(~x if seed is None else seed & ~x)
+            u = game.narrow(rows, at)
+            on_u = _chain_on_rows(engine, u, x_int, base_size, cold=seed is None)
+            new_y[u.rows[on_u]] = True
+            x[at[on_u]] = True
             x_row.append(x)
         if np.array_equal(new_y, y):
             break
@@ -256,50 +212,45 @@ def solve_persistence_reach(
 
 def _chain_on_rows(
     engine: FixpointEngine,
-    rows: RowSlice,
-    base_rows: np.ndarray,
+    u: RowSlice,
     x_int: np.ndarray,
     base_size: int,
-    start_rows: np.ndarray | None = None,
+    cold: bool,
 ) -> np.ndarray:
-    """X & R on the rows R of ``rows`` of the greatest fixed point of
-    X -> (Pre(X) & P) | base below X_0, where R holds every row of P that
-    X_0 holds and base does not. ``start_rows`` is X_0 on R's rows, and
-    X_0 is base off R; None for X_0 = V (a cold chain).
+    """X & U on U's rows of the greatest fixed point of
+    X -> (Pre(X) & P) | base below X_0, where the rows of ``u`` are
+    U = X_0 & P & ~base. X_0 is V for a ``cold`` chain and base | U
+    otherwise.
 
-    ``x_int`` is base in int32 (``base_size`` states), and ``base_rows``
-    base on R's rows; R's rows of ``x_int`` hold X while the chain runs
-    and base again when it returns."""
-    r = rows.rows
-    if start_rows is None:
-        # X_1 = base | (Pre(V) & P) equals V iff base holds every state off
-        # R and X_1 every row of R.
-        x = engine.pre(engine.game.every_state, within=rows)
-        x |= base_rows
+    ``x_int`` is base in int32 (``base_size`` states); U's rows of it
+    hold X while the chain runs and 0 again when it returns."""
+    r = u.rows
+    if cold:
+        # X_1 = base | (Pre(V) & U) equals V iff it holds n states.
+        x = engine.pre(engine.game.every_state, within=u)
         size = np.count_nonzero(x)
-        if base_size - np.count_nonzero(base_rows) + size == engine.game.n:
+        if base_size + size == engine.game.n:
             return x
     else:
-        # X_1 = base | (Pre(X_0) & X_0 & P); it equals X_0 iff their sizes do.
-        x_int[r] = start_rows
-        x = engine.pre(x_int, within=rows)
-        x &= start_rows
-        x |= base_rows
+        # X_1 = base | (Pre(X_0) & U) equals X_0 iff it holds all of U.
+        x_int[r] = 1
+        x = engine.pre(x_int, within=u)
         size = np.count_nonzero(x)
-        if size == np.count_nonzero(start_rows):
-            x_int[r] = base_rows
+        if size == r.size:
+            x_int[r] = 0
             return x
     x_int[r] = x
+    # An inner iterate never grows, so an unchanged size means an unchanged
+    # set.
     while True:
-        nxt = engine.pre(x_int, within=rows)
-        nxt |= base_rows
+        nxt = engine.pre(x_int, within=u)
         nxt &= x
         nxt_size = np.count_nonzero(nxt)
         if nxt_size == size:
             break
         x_int[r[x ^ nxt]] = 0
         x, size = nxt, nxt_size
-    x_int[r] = base_rows
+    x_int[r] = 0
     return x
 
 
@@ -308,29 +259,28 @@ def _chain_on_masks(
     rows: RowSlice,
     base: np.ndarray,
     new_y: np.ndarray,
+    seed: np.ndarray | None,
 ) -> np.ndarray:
-    """:func:`_chain_on_rows` of a cold chain on length-n masks: X & P on
-    P's rows of the same greatest fixed point, whose X is ORed into
-    ``new_y``."""
-    x, bound, size = engine.game.every_state, None, base.size
-    within = rows
-    if engine.game.edge_bound:
-        # Rows of P in base stay in every iterate, so each Pre need only
-        # decide U = P & ~base.
-        within = engine.game.narrow(rows, np.flatnonzero(~base[rows.rows]))
+    """:func:`_chain_on_rows` on length-n masks and all of P's rows: X & P
+    on P's rows of the same greatest fixed point, whose X is ORed into
+    ``new_y``. X_0 is V for a cold chain, and base | ``seed`` for a seed
+    on P's rows."""
+    x, size = engine.game.every_state, base.size
+    if seed is not None:
+        x = base.copy()
+        x[rows.rows[seed]] = True
+        size = np.count_nonzero(x)
     # An inner iterate never grows, so an unchanged size means an unchanged
     # set.
     while True:
         nxt = np.zeros(base.size, dtype=bool)
-        nxt[within.rows] = engine.pre(x, within=within)
+        nxt[rows.rows] = engine.pre(x, within=rows)
         nxt |= base
-        if bound is not None:
-            nxt &= bound
+        nxt &= x
         nxt_size = np.count_nonzero(nxt)
         if nxt_size == size:
             break
-        x = bound = nxt
-        size = nxt_size
+        x, size = nxt, nxt_size
     new_y |= nxt
     return nxt[rows.rows]
 

@@ -22,9 +22,10 @@ date from the in-edges of the states that joined or left the set: the
 counter technique of the linear-time attractor. The in-edges come from
 a predecessor CSR (edges sorted by target) built on first use. Graphs
 with at most ``TRACKED_PRE_EDGES`` edges get no tracker, since there
-counting every edge is cheaper. :meth:`GameGraph.narrow` cuts a row
-slice down to some of its rows, for a chain that has only those left to
-decide.
+counting every edge is cheaper. The same test routes the inner chains
+of the fixed-point engine: on a larger graph each runs on the rows it
+has left to decide alone, cut from its set's row slice by
+:meth:`GameGraph.narrow`, and on a smaller one on length-n masks.
 
 The text format round-tripped by :func:`load_game` / :func:`serialize_game`::
 
@@ -77,15 +78,20 @@ _MAX_INT32_EDGES = np.iinfo(np.int32).max
 # Edge count above which a graph is edge_bound: its Pre costs about its
 # edges rather than its numpy calls, and it pays to read fewer edges at the
 # price of more calls. Such a graph gets a PreTracker for its whole-graph
-# Pre chains, and its inner chains on masks count only their undecided rows
-# (fixpoint._chain_on_masks). Measured on a 2-core x86-64 VM over the
-# whole-graph Pre calls of one solve_mt, a tracked Pre averages 15-19 us
-# against 5-8 us for the kernel on a series graph (1244 edges), and on warm
-# random games 39 against 29 us at 8491 edges, 50 against 56 us at 12880
-# edges and 103-130 against 235-280 us at 42716 edges. Narrowing a chain
-# costs about a dozen numpy calls: on the series graph (600 states, 1245
-# edges) it made the cold solves of a pass of its ten specs 1.5 times as
-# slow (gr1emb 0.50 against 0.79 s, mt 0.18 against 0.25 s, medians of 5).
+# Pre chains and runs every inner chain, cold or seeded, on the rows it has
+# left to decide (fixpoint._chain_on_rows); any other graph runs them on
+# length-n masks (fixpoint._chain_on_masks). Measured on a 2-core x86-64 VM
+# over the whole-graph Pre calls of one solve_mt, a tracked Pre averages
+# 15-19 us against 5-8 us for the kernel on a series graph (1244 edges), and
+# on warm random games 39 against 29 us at 8491 edges, 50 against 56 us at
+# 12880 edges and 103-130 against 235-280 us at 42716 edges. Solves with
+# every inner chain on masks took this share of their time with every chain
+# on its rows left to decide (solve_mt and solve_gr1_emb, cold and warm,
+# tracking as the gate sets it; medians of 9 alternating runs in one
+# process): 0.59-0.74 on the series graph (600 states, 1244 edges),
+# 0.64-0.78 on random games of 600 and 2000 states (1244 and 4159 edges),
+# 0.76-0.96 at 5000 states (10671 edges), 0.93-1.51 at 20000 states (42716
+# edges) and 1.06-1.55 on the 16x16 robot (52562 edges).
 TRACKED_PRE_EDGES = 10_000
 # A tracker whose set changed by more than this share of the states
 # recounts every edge with the kernel instead: an in-edge gathered and
@@ -232,9 +238,6 @@ class GameGraph:
     def successors(self, v: int) -> np.ndarray:
         return self._dst[self._indptr[v] : self._indptr[v + 1]]
 
-    def out_degree(self, v: int) -> int:
-        return int(self._outdeg[v])
-
     def has_prop(self, name: str) -> bool:
         return name in self._prop_names
 
@@ -283,10 +286,13 @@ class GameGraph:
 
     def narrow(self, rows: RowSlice, at: np.ndarray) -> RowSlice:
         """The row slice of the rows of ``rows`` at the increasing positions
-        ``at``, built from ``rows``' own arrays; the graph's one shared
-        slice of no row when ``at`` is empty."""
+        ``at``, each in 0..len(rows.rows)-1, built from ``rows``' own arrays;
+        the graph's one shared slice of no row when ``at`` is empty."""
         if not at.size:
             return self._no_rows
+        # The row copy checks no bounds, so the positions are checked here.
+        if at.min() < 0 or at.max() >= rows.rows.size:
+            raise ValueError(f"row positions outside 0..{rows.rows.size - 1}")
         degree = rows.indptr[at + 1] - rows.indptr[at]
         indptr, indices = self._take_rows(rows.indptr, rows.indices, degree, at)
         return RowSlice(rows.rows[at], indptr, indices, rows.floor[at], rows.pre_every[at])
@@ -316,7 +322,8 @@ class GameGraph:
         """Whether a Pre on this graph costs about its edge count rather
         than its numpy calls: more than ``TRACKED_PRE_EDGES`` edges. Only
         such a graph tracks its whole-graph Pre chains (:meth:`pre_tracker`)
-        and narrows each inner chain to the rows it has yet to decide."""
+        and runs each inner chain on the rows it has yet to decide; any other
+        runs them on length-n masks."""
         return self.num_edges > TRACKED_PRE_EDGES
 
     def pre_tracker(self, full: bool) -> PreTracker | None:

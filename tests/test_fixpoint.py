@@ -185,30 +185,31 @@ def test_persistence_warm_seeds_reproduce_value():
         assert warm_cost == (len(cold.bases) + 1) * 3
 
 
-# Values of fixpoint.ROW_CHAIN_RATIO that send every persistence set to one
-# inner path: its own rows, or length-n masks (an empty set takes the rows
-# under any value).
-PATHS = {"rows": 0, "masks": 10**12}
+def force_edge_bound(monkeypatch, on):
+    """Treat every graph as one with many edges (``on``) or with few: its
+    whole-graph Pre chains tracked and its inner chains run on the rows
+    they have left to decide, or neither, and its inner chains run on
+    length-n masks."""
+    from mtgames.game import GameGraph
+
+    monkeypatch.setattr(GameGraph, "edge_bound", property(lambda self: on))
 
 
-def force_path(monkeypatch, path):
-    import mtgames.fixpoint
-
-    monkeypatch.setattr(mtgames.fixpoint, "ROW_CHAIN_RATIO", PATHS[path])
+# The edge_bound gate alone picks the path of every inner chain: length-n
+# masks below it, the rows left to decide above it. A test run on either
+# path forces the gate.
+BOTH_PATHS = pytest.mark.parametrize("edge_bound", [False, True], ids=["masks", "rows"])
 
 
 def rows_of(engine, persist):
     return [s.rows for s in engine.row_slices(persist)]
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@BOTH_PATHS
 @pytest.mark.parametrize("warm", [False, True])
-def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, path):
-    force_path(monkeypatch, path)
-    # Every graph treated as edge-bound, whose chains are narrowed, and as
-    # not.
-    for edge_bound, seed in itertools.product((False, True), range(15)):
-        force_edge_bound(monkeypatch, edge_bound)
+def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, edge_bound):
+    force_edge_bound(monkeypatch, edge_bound)
+    for seed in range(15):
         g = helpers.random_graph(seed)
         p = helpers.random_subset(seed + 11, g.n)
         q = helpers.random_subset(seed + 33, g.n)
@@ -232,28 +233,26 @@ def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, path):
             assert all(map(np.array_equal, row, ref_row)), seed
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_first_inner_step_stays_inside_the_seed(monkeypatch, path):
+@BOTH_PATHS
+def test_first_inner_step_stays_inside_the_seed(monkeypatch, edge_bound):
     # Player 0 states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to
     # reach: the inner fixed point is empty, so the seed {0} is valid. Pre of
     # the seed inside P is {1}, of the seed's size but outside it; the first
-    # step is {1} & {0}, empty, and not {1}. On P's rows and, narrowed, on
-    # U's.
-    force_path(monkeypatch, path)
+    # step is {1} & {0}, empty, and not {1}. On length-n masks and on U's
+    # rows.
+    force_edge_bound(monkeypatch, edge_bound)
     g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
     persist = np.array([[True, True, False]])
     seeds = [[np.array([True, False])]]
-    for edge_bound in (False, True):
-        force_edge_bound(monkeypatch, edge_bound)
-        engine = FixpointEngine(g)
-        res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
-        assert members(res.value) == set() and members(res.x_last[0]) == set()
-        assert engine.stats.pre_count == 3
+    engine = FixpointEngine(g)
+    res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
+    assert members(res.value) == set() and members(res.x_last[0]) == set()
+    assert engine.stats.pre_count == 3
 
 
 def test_recorded_iterates_form_increasing_chain(monkeypatch):
-    for path, seed in itertools.product(sorted(PATHS), range(15)):
-        force_path(monkeypatch, path)
+    for edge_bound, seed in itertools.product((False, True), range(15)):
+        force_edge_bound(monkeypatch, edge_bound)
         g = helpers.random_graph(seed)
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
@@ -285,8 +284,8 @@ def test_recorded_iterates_form_increasing_chain(monkeypatch):
 
 def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
     # With two sets they overlap, and a state's y rank may come from either.
-    for path, sets, seed in itertools.product(sorted(PATHS), (1, 2), range(15)):
-        force_path(monkeypatch, path)
+    for edge_bound, sets, seed in itertools.product((False, True), (1, 2), range(15)):
+        force_edge_bound(monkeypatch, edge_bound)
         g = helpers.random_graph(seed)
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
@@ -310,8 +309,8 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
     g = helpers.g2()
     persist = np.zeros((1, 2), dtype=bool)
     oracle = helpers.ModeTraceLoop.from_iterates([np.zeros(2, dtype=bool)], [], 1)
-    for path in sorted(PATHS):
-        force_path(monkeypatch, path)
+    for edge_bound in (False, True):
+        force_edge_bound(monkeypatch, edge_bound)
         engine = FixpointEngine(g)
         res = solve_persistence_reach(engine, persist, np.zeros(2, bool))
         assert len(res.bases) == 0 and len(res.x_iterates) == 0
@@ -322,13 +321,13 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
         assert helpers.same_trace(tr, oracle)
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@BOTH_PATHS
 @pytest.mark.parametrize("warm", [False, True])
-def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, path):
+def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, edge_bound):
     # An empty set, the full set and random ones: on either path, seeded or
     # not, every inner fixed point comes back as X & P_j on P_j's rows, and
     # the last step's and the trace built from them are the plain loop's.
-    force_path(monkeypatch, path)
+    force_edge_bound(monkeypatch, edge_bound)
     for seed in range(10):
         g = helpers.random_graph(seed)
         sets = [StateSet.empty(g.n), StateSet.full(g.n)]
@@ -459,8 +458,8 @@ def test_traces_are_built_only_in_rounds_that_leave_z_unchanged(monkeypatch, war
 def test_kept_traces_match_a_fresh_run_against_the_winning_set(monkeypatch, warm):
     from mtgames.benchgen import gen_random_game
 
-    for path, seed in itertools.product(sorted(PATHS), range(6)):
-        force_path(monkeypatch, path)
+    for edge_bound, seed in itertools.product((False, True), range(6)):
+        force_edge_bound(monkeypatch, edge_bound)
         game, spec = gen_random_game(60, 3, [2, 1, 2], 2.0, seed)
         persist, exits = _bound_parts(game, spec)
         out = solve_stable_conjunction(game, persist, exits, warm=warm, record=True)
@@ -476,9 +475,9 @@ def test_kept_traces_match_a_fresh_run_against_the_winning_set(monkeypatch, warm
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
 def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
-    # Every persistence set forced onto its rows, then onto length-n masks:
-    # the same value and inner fixed points from every persistence-or-reach
-    # run, the same work and winning set, and traces equal to the oracle's.
+    # Every chain on its rows left to decide, then on length-n masks: the
+    # same value and inner fixed points from every persistence-or-reach run,
+    # the same work and winning set, and traces equal to the oracle's.
     import mtgames.fixpoint
     from mtgames.benchgen import gen_random_game
 
@@ -491,29 +490,28 @@ def test_both_inner_paths_give_the_same_runs(monkeypatch, algo, warm):
         return res
 
     monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", kept)
-    # The size of each cold chain on rows; a seeded chain runs on rows on
-    # either path.
+    # Whether each chain on rows is cold.
     on_rows = []
     chain = mtgames.fixpoint._chain_on_rows
 
-    def logged(engine, rows, base_rows, x_int, base_size, start_rows=None):
-        if start_rows is None:
-            on_rows.append(rows.rows.size)
-        return chain(engine, rows, base_rows, x_int, base_size, start_rows)
+    def logged(engine, u, x_int, base_size, cold):
+        on_rows.append(cold)
+        return chain(engine, u, x_int, base_size, cold)
 
     monkeypatch.setattr(mtgames.fixpoint, "_chain_on_rows", logged)
     rounds = set()
     for seed in range(4):
         game, spec = gen_random_game(80, 4, [3, 1, 2, 1], 2.0, seed)
         got = {}
-        for path in sorted(PATHS):
-            force_path(monkeypatch, path)
+        for path in ("rows", "masks"):
+            force_edge_bound(monkeypatch, path == "rows")
             runs.clear()
             on_rows.clear()
             result = _solve(algo, game, spec, warm)
             rounds.add(result.stats.outer_iterations)
-            # Only an empty set takes the rows cold when masks are forced.
-            assert on_rows if path == "rows" else not any(on_rows)
+            # Above the gate every chain runs on rows, cold ones included;
+            # below it none does.
+            assert any(on_rows) if path == "rows" else not on_rows
             got[path] = (result, list(runs))
         (rows, rows_runs), (masks, masks_runs) = got["rows"], got["masks"]
         assert rows.stats.pre_count == masks.stats.pre_count, seed
@@ -671,22 +669,32 @@ def test_inner_pre_calls_carry_a_row_slice(monkeypatch, algo):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("path", sorted(PATHS))
+@BOTH_PATHS
 @pytest.mark.parametrize("algo", ["mt", "gr1emb"])
-def test_first_steps_of_cold_chains_make_no_kernel_call(monkeypatch, algo, path, warm):
+def test_first_steps_of_cold_chains_make_no_kernel_call(monkeypatch, algo, edge_bound, warm):
     # Each μY chain opens with Pre of no state, and each cold νX chain with
     # Pre of every state; both are counted but read from the graph alone.
     import mtgames.fixpoint
     import mtgames.game
     from mtgames.benchgen import gen_random_game
 
-    force_path(monkeypatch, path)
-    calls = _counting_pre(monkeypatch)
+    force_edge_bound(monkeypatch, edge_bound)
     kernel_calls = []
     kernel = mtgames.game.csr_matvec
     monkeypatch.setattr(
         mtgames.game, "csr_matvec", lambda *a: kernel_calls.append(None) or kernel(*a)
     )
+    # Per counted Pre: its set, whether it was tracked, and its kernel calls.
+    calls = []
+    original = mtgames.fixpoint.pre
+
+    def counted(game, mask, within=None, tracker=None):
+        before = len(kernel_calls)
+        got = original(game, mask, within=within, tracker=tracker)
+        calls.append((mask, tracker is not None, len(kernel_calls) - before))
+        return got
+
+    monkeypatch.setattr(mtgames.fixpoint, "pre", counted)
     chains = []
     solve_reach = mtgames.fixpoint.solve_persistence_reach
 
@@ -697,18 +705,20 @@ def test_first_steps_of_cold_chains_make_no_kernel_call(monkeypatch, algo, path,
     monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", counted_chains)
     for seed in range(3):
         game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
-        assert game.pre_tracker(full=True) is None
-        for log in (calls, kernel_calls, chains):
-            log.clear()
+        calls.clear()
+        chains.clear()
         result = _solve(algo, game, spec, warm)
         assert len(calls) == result.stats.pre_count
-        targets = [args[1] for args, _ in calls]
-        every = sum(t is game.every_state for t in targets)
-        empty = sum(t is game.no_state for t in targets)
-        assert empty == len(chains), seed
-        assert every > 0, seed
-        # Without a tracker every other Pre is one kernel call.
-        assert len(kernel_calls) == len(calls) - every - empty, seed
+        every = [k for m, _, k in calls if m is game.every_state]
+        empty = [k for m, _, k in calls if m is game.no_state]
+        assert len(empty) == len(chains) and every, seed
+        assert not any(every + empty), seed
+        # Pre(Y) and Pre(Z) are tracked above the gate; every other Pre is
+        # one kernel call.
+        shared = (game.every_state, game.no_state)
+        others = [(t, k) for m, t, k in calls if not any(m is x for x in shared)]
+        assert any(t for t, _ in others) == edge_bound, seed
+        assert all(k == 1 for t, k in others if not t), seed
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -843,16 +853,7 @@ def test_only_graphs_above_the_edge_constant_are_tracked(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Inner chains on length-n masks narrowed to their undecided rows
-
-
-def force_edge_bound(monkeypatch, on):
-    """Treat every graph as one with many edges (``on``) or with few: its
-    whole-graph Pre chains tracked and its inner chains on masks narrowed,
-    or neither."""
-    from mtgames.game import GameGraph
-
-    monkeypatch.setattr(GameGraph, "edge_bound", property(lambda self: on))
+# The edge_bound gate routes every inner chain
 
 
 def _outcome(result):
@@ -868,8 +869,8 @@ def _outcome(result):
 @pytest.mark.parametrize("algo", ["mt", "gr1emb"])
 def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_owners):
     # The same winning set, work and trace ranks with every graph treated
-    # as edge-bound and with none, on either inner path. Cold chains are
-    # narrowed on the masks path only, seeded ones on either.
+    # as edge-bound, every chain narrowed to the rows it has left to
+    # decide, and with none, every chain on length-n masks.
     import mtgames.game
     from mtgames.benchgen import gen_random_game
     from mtgames.solver import SolveOptions, solve_mt
@@ -883,8 +884,7 @@ def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_own
         "narrow",
         lambda self, rows, keep: narrowed.append(None) or narrow(self, rows, keep),
     )
-    for path, seed in itertools.product(sorted(PATHS), range(6)):
-        force_path(monkeypatch, path)
+    for seed in range(6):
         game, spec = gen_random_game(
             120, 3, [3, 1, 2], 2.0, seed, alternate_owners=alternate_owners
         )
@@ -893,87 +893,8 @@ def test_narrowed_chains_change_no_result(monkeypatch, algo, warm, alternate_own
             force_edge_bound(monkeypatch, on)
             narrowed.clear()
             got.append(_outcome(solve(game, spec, SolveOptions(warm=warm, record=True))))
-            seeded = warm and got[-1][2] > 1
-            assert bool(narrowed) == (on and (path == "masks" or seeded)), (path, seed, on)
-        assert got[0] == got[1], (path, seed)
-
-
-def _masks_chains(monkeypatch):
-    """Log every inner chain on length-n masks, which are all cold: per
-    chain, the states of U = P & ~base, worked out from the whole-graph
-    masks, the size of P & ~base, and the row slices its Pre calls carried.
-    Pre calls outside any such chain are logged as None."""
-    import mtgames.fixpoint
-
-    chains = []
-    # The slices of the chain that is running, if any.
-    running = [None]
-    chain = mtgames.fixpoint._chain_on_masks
-    original = mtgames.fixpoint.pre
-
-    def logged_chain(engine, rows, base, new_y):
-        undecided = np.zeros(base.size, dtype=bool)
-        undecided[rows.rows] = True
-        undecided &= ~base
-        running[0] = []
-        outside = np.count_nonzero(~base[rows.rows])
-        chains.append((np.flatnonzero(undecided), outside, running[0]))
-        try:
-            return chain(engine, rows, base, new_y)
-        finally:
-            running[0] = None
-
-    def logged_pre(game, mask, within=None, tracker=None):
-        if running[0] is not None:
-            running[0].append(within)
-        else:
-            chains.append(None)
-        return original(game, mask, within=within, tracker=tracker)
-
-    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_masks", logged_chain)
-    monkeypatch.setattr(mtgames.fixpoint, "pre", logged_pre)
-    return chains
-
-
-@pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
-def test_masks_chains_read_only_their_undecided_rows(monkeypatch, algo, warm):
-    from mtgames.benchgen import gen_random_game
-
-    force_path(monkeypatch, "masks")
-    force_edge_bound(monkeypatch, True)
-    chains = _masks_chains(monkeypatch)
-    decided = narrowed_by_seed = 0
-    masks_rounds = set()
-    for seed in range(4):
-        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
-        src, dst = game.edge_arrays
-        chains.clear()
-        result = _solve(algo, game, spec, warm)
-        outside_chains = chains.count(None)
-        sliced = 0
-        for undecided, outside, slices in filter(None, chains):
-            assert slices
-            for within in slices:
-                # The rows of U alone, with their own successor lists.
-                assert np.array_equal(within.rows, undecided)
-                assert np.array_equal(within.indices, dst[np.isin(src, undecided)])
-                assert np.array_equal(np.diff(within.indptr), np.bincount(src)[undecided])
-            sliced += len(slices)
-            if not undecided.size:
-                # P inside base: no Pre of the chain reads an edge.
-                decided += 1
-                assert all(w.indptr[-1] == 0 for w in slices)
-            narrowed_by_seed += undecided.size < outside
-        # Every counted Pre is Pre(Y), Pre(Z) or one of a chain's; warm,
-        # a seeded chain runs on rows, and its Pre calls count as outside.
-        assert sliced > 0
-        assert sliced + outside_chains == result.stats.pre_count
-        masks_rounds.add(result.stats.outer_iterations)
-    assert decided > 0
-    # No seed reaches a chain on masks: U is all of P & ~base.
-    assert narrowed_by_seed == 0
-    assert max(masks_rounds) > 1
+            assert bool(narrowed) == on, (seed, on)
+        assert got[0] == got[1], seed
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -981,10 +902,8 @@ def test_warm_seed_narrows_the_undecided_rows(monkeypatch, seeded):
     # The graph of test_first_inner_step_stays_inside_the_seed: Player 0
     # states 0 -> 2, 1 -> 0 and 2 -> 2, P = {0, 1}, nothing to reach, so
     # base is empty. Cold, U is all of P; seeded with {0}, U is {0}, and
-    # state 1, outside the seed, is never counted. The cold chain is
-    # narrowed on masks; a seeded chain runs on U's rows on either path.
-    if not seeded:
-        force_path(monkeypatch, "masks")
+    # state 1, outside the seed, is never counted. Above the gate either
+    # chain runs on U's rows.
     force_edge_bound(monkeypatch, True)
     calls = _counting_pre(monkeypatch)
     g = helpers.build_game(3, [0, 0, 0], [(0, 2), (1, 0), (2, 2)])
@@ -1000,47 +919,50 @@ def test_warm_seed_narrows_the_undecided_rows(monkeypatch, seeded):
 
 
 @dataclass
-class _SeededRun:
-    """One seeded ``solve_persistence_reach`` run: its arguments, per inner
-    chain the row slices its Pre calls carried, and the count of its Pre
+class _Run:
+    """One ``solve_persistence_reach`` run: its arguments (``seeds`` is None
+    for a cold run), per inner chain the name of the function that ran it
+    and the row slices its Pre calls carried, and the count of its Pre
     calls outside a chain."""
 
     game: object
     block: np.ndarray
     reach: np.ndarray
-    seeds: list
+    seeds: list | None
     chains: list = field(default_factory=list)
     others: int = 0
 
 
-def _seeded_runs(monkeypatch):
-    """Log every seeded ``solve_persistence_reach`` run as a _SeededRun."""
+def _runs(monkeypatch):
+    """Log every ``solve_persistence_reach`` run as a _Run."""
     import mtgames.fixpoint
 
     runs = []
     # The run and the chain that are going on, if any.
     run, chain_slices = [None], [None]
     solve_reach = mtgames.fixpoint.solve_persistence_reach
-    chain = mtgames.fixpoint._chain_on_rows
     original = mtgames.fixpoint.pre
 
     def logged_reach(engine, persist, reach, *, x_seeds=None):
-        if x_seeds is None:
-            return solve_reach(engine, persist, reach)
-        run[0] = _SeededRun(engine.game, persist, reach, x_seeds)
+        run[0] = _Run(engine.game, persist, reach, x_seeds)
         runs.append(run[0])
         try:
             return solve_reach(engine, persist, reach, x_seeds=x_seeds)
         finally:
             run[0] = None
 
-    def logged_chain(*args):
-        chain_slices[0] = []
-        run[0].chains.append(chain_slices[0])
-        try:
-            return chain(*args)
-        finally:
-            chain_slices[0] = None
+    def logged(name):
+        chain = getattr(mtgames.fixpoint, name)
+
+        def logged_chain(*args, **kwargs):
+            chain_slices[0] = []
+            run[0].chains.append((name, chain_slices[0]))
+            try:
+                return chain(*args, **kwargs)
+            finally:
+                chain_slices[0] = None
+
+        monkeypatch.setattr(mtgames.fixpoint, name, logged_chain)
 
     def logged_pre(game, mask, within=None, tracker=None):
         if chain_slices[0] is not None:
@@ -1050,31 +972,145 @@ def _seeded_runs(monkeypatch):
         return original(game, mask, within=within, tracker=tracker)
 
     monkeypatch.setattr(mtgames.fixpoint, "solve_persistence_reach", logged_reach)
-    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_rows", logged_chain)
+    logged("_chain_on_rows")
+    logged("_chain_on_masks")
     monkeypatch.setattr(mtgames.fixpoint, "pre", logged_pre)
     return runs
+
+
+@pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
+def test_the_gate_alone_routes_every_chain(monkeypatch, algo):
+    # Below the edge_bound gate every chain, cold or seeded, runs on
+    # length-n masks and nothing is narrowed; above it every chain runs on
+    # the rows of U, cut by one GameGraph.narrow each.
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+
+    runs = _runs(monkeypatch)
+    narrowed = []
+    narrow = mtgames.game.GameGraph.narrow
+    monkeypatch.setattr(
+        mtgames.game.GameGraph,
+        "narrow",
+        lambda self, rows, keep: narrowed.append(None) or narrow(self, rows, keep),
+    )
+    for on, warm, seed in itertools.product((False, True), (False, True), range(2)):
+        force_edge_bound(monkeypatch, on)
+        # Sets of 1 to 3 targets: small sets as well as large ones.
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        runs.clear()
+        narrowed.clear()
+        _solve(algo, game, spec, warm)
+        chains = [name for run in runs for name, _ in run.chains]
+        assert chains, (on, warm, seed)
+        assert set(chains) == {"_chain_on_rows" if on else "_chain_on_masks"}, (on, warm)
+        assert len(narrowed) == (len(chains) if on else 0), (on, warm, seed)
+        # Warm, the first round's chains are cold and the later ones seeded.
+        seeded = {run.seeds is not None for run in runs if run.chains}
+        assert seeded == ({False, True} if warm else {False}), (on, warm, seed)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("algo", ["mt", "gr1emb"])
+def test_masks_chains_read_only_their_undecided_rows(monkeypatch, algo, warm):
+    # The name dates from when cold chains were narrowed on length-n masks;
+    # above the gate they now run on rows. Each chain is checked against
+    # its own arguments: P's rows, as given to GameGraph.narrow, and base,
+    # as x_int. U = X_0 & P & ~base is all of P & ~base for a cold chain and
+    # can be less for a seeded one. Every Pre of the chain carries U's rows
+    # alone, with their own successor lists, and every counted Pre of a
+    # solve is Pre(Y), Pre(Z) or a chain's.
+    import mtgames.fixpoint
+    import mtgames.game
+    from mtgames.benchgen import gen_random_game
+
+    force_edge_bound(monkeypatch, True)
+    # Per chain (U's rows, P & ~base, its Pre slices); None per Pre outside.
+    chains, running, narrowed_p = [], [None], [None]
+    chain, pre, narrow = (
+        mtgames.fixpoint._chain_on_rows,
+        mtgames.fixpoint.pre,
+        mtgames.game.GameGraph.narrow,
+    )
+
+    def logged_narrow(self, rows, at):
+        narrowed_p[0] = rows.rows
+        return narrow(self, rows, at)
+
+    def logged_chain(engine, u, x_int, base_size, cold):
+        assert base_size == np.count_nonzero(x_int)
+        p = narrowed_p[0]
+        running[0] = []
+        chains.append((u.rows.copy(), p[x_int[p] == 0], running[0]))
+        try:
+            return chain(engine, u, x_int, base_size, cold)
+        finally:
+            running[0] = None
+
+    def logged_pre(game, mask, within=None, tracker=None):
+        if running[0] is not None:
+            running[0].append(within)
+        else:
+            chains.append(None)
+        return pre(game, mask, within=within, tracker=tracker)
+
+    monkeypatch.setattr(mtgames.game.GameGraph, "narrow", logged_narrow)
+    monkeypatch.setattr(mtgames.fixpoint, "_chain_on_rows", logged_chain)
+    monkeypatch.setattr(mtgames.fixpoint, "pre", logged_pre)
+    decided = narrowed_by_seed = 0
+    rounds = set()
+    for seed in range(4):
+        game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
+        src, dst = game.edge_arrays
+        chains.clear()
+        result = _solve(algo, game, spec, warm)
+        outside_chains = chains.count(None)
+        sliced = 0
+        for undecided, outside, slices in filter(None, chains):
+            assert np.isin(undecided, outside).all()
+            assert slices
+            for within in slices:
+                assert np.array_equal(within.rows, undecided)
+                assert np.array_equal(within.indices, dst[np.isin(src, undecided)])
+                assert np.array_equal(np.diff(within.indptr), np.bincount(src)[undecided])
+            sliced += len(slices)
+            if not undecided.size:
+                # P inside base: no Pre of the chain reads an edge.
+                decided += 1
+                assert all(w.indptr[-1] == 0 for w in slices)
+            narrowed_by_seed += undecided.size < outside.size
+        assert sliced > 0
+        assert sliced + outside_chains == result.stats.pre_count
+        rounds.add(result.stats.outer_iterations)
+    assert decided > 0
+    # Only a seed keeps rows of P & ~base out of U.
+    assert (narrowed_by_seed > 0) == warm
+    assert max(rounds) > 1
 
 
 @pytest.mark.parametrize("edge_bound", [False, True])
 @pytest.mark.parametrize("algo", ["mt", "gr1emb"])
 def test_seeded_chains_read_only_their_undecided_rows(monkeypatch, algo, edge_bound):
-    # Each seeded chain, at Y-step l for set P_j, has U = seed & ~base_l
-    # left to decide, with seed the step's seed on P_j's rows and base_l
-    # worked out by the plain loop. With the gate on, every Pre of the chain
-    # carries exactly U's rows, with their own successor lists; with it off,
-    # P's rows. Every Pre of the run is Pre(Y) or a chain's.
+    # Each chain, at Y-step l for set P_j, has U = X_0 & P_j & ~base_l left
+    # to decide, with base_l worked out by the plain loop. X_0 is every
+    # state for a cold chain, and base_l | seed for a seeded one, with seed
+    # the step's seed on P_j's rows. With the gate on, every Pre of the
+    # chain, cold or seeded, carries exactly U's rows, with their own
+    # successor lists; with it off, P's rows. Every Pre of the run is Pre(Y)
+    # or a chain's.
     from mtgames.benchgen import gen_random_game
 
     force_edge_bound(monkeypatch, edge_bound)
-    runs = _seeded_runs(monkeypatch)
-    narrowed = chains_seen = 0
+    runs = _runs(monkeypatch)
+    narrowed = decided = 0
+    # Chains seen, cold and seeded.
+    seen = {False: 0, True: 0}
     for seed in range(3):
         game, spec = gen_random_game(200, 4, [3, 1, 2, 1], 2.0, seed)
         src, dst = game.edge_arrays
         degree = np.bincount(src, minlength=game.n)
         runs.clear()
         _solve(algo, game, spec, warm=True)
-        assert runs, seed
         for run in runs:
             persist, seeds = run.block, run.seeds
             value, _, _, bases, _, calls = helpers.persistence_reach_iterates(
@@ -1082,22 +1118,29 @@ def test_seeded_chains_read_only_their_undecided_rows(monkeypatch, algo, edge_bo
             )
             bases.append(helpers.pre_where(game, StateSet.from_mask(value)).bits | run.reach)
             assert run.others == len(bases)
-            assert run.others + sum(map(len, run.chains)) == calls
+            assert run.others + sum(len(slices) for _, slices in run.chains) == calls
             assert len(run.chains) == len(bases) * len(persist)
-            for k, slices in enumerate(run.chains):
+            for k, (_, slices) in enumerate(run.chains):
                 l, j = divmod(k, len(persist))
                 p = persist[j]
-                undecided = seeds[min(l, len(seeds) - 1)][j] & ~bases[l][p]
+                undecided = ~bases[l][p]
+                if seeds is not None:
+                    undecided &= seeds[min(l, len(seeds) - 1)][j]
+                    # A seed keeps rows of P & ~base out of U.
+                    narrowed += np.count_nonzero(undecided) < np.count_nonzero(~bases[l][p])
                 want = np.flatnonzero(p)[undecided] if edge_bound else np.flatnonzero(p)
                 assert slices
                 for within in slices:
                     assert np.array_equal(within.rows, want)
                     assert np.array_equal(within.indices, dst[np.isin(src, want)])
                     assert np.array_equal(np.diff(within.indptr), degree[want])
-                chains_seen += 1
-                # A seed keeps rows of P & ~base out of U.
-                narrowed += np.count_nonzero(undecided) < np.count_nonzero(~bases[l][p])
-    assert chains_seen and narrowed
+                if not want.size:
+                    # Nothing to decide: no Pre of the chain reads an edge.
+                    decided += 1
+                    assert all(w.indptr[-1] == 0 for w in slices)
+                seen[seeds is not None] += 1
+    assert all(seen.values()) and narrowed
+    assert decided or not edge_bound
 
 
 @pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
@@ -1107,13 +1150,13 @@ def test_each_step_seed_holds_that_steps_fixed_point(monkeypatch, algo):
     # it from every state; the seeded run's steps are the plain loop's.
     from mtgames.benchgen import gen_random_game
 
-    runs = _seeded_runs(monkeypatch)
+    runs = _runs(monkeypatch)
     steps = set()
     for seed in range(4):
         game, spec = gen_random_game(120, 4, [3, 1, 2, 1], 2.0, seed)
         runs.clear()
         _solve(algo, game, spec, warm=True)
-        for run in runs:
+        for run in (run for run in runs if run.seeds is not None):
             _, last, _, _, xs, _ = helpers.persistence_reach_iterates(game, run.block, run.reach)
             fixed = helpers.seeds_on_rows(run.block, [*xs, last])
             steps.add(len(fixed))

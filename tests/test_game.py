@@ -43,7 +43,7 @@ def test_basic_accessors(g2_game):
     assert g.owner(0) == PLAYER0 and g.owner(1) == PLAYER1
     assert g.successors(0).tolist() == [1]
     assert g.successors(1).tolist() == [0, 1]
-    assert g.out_degree(1) == 2
+    assert g.successors(1).size == 2
     assert g.num_edges == 3
     assert g.is_player0_mask.tolist() == [True, False]
 
@@ -223,7 +223,7 @@ def test_pre_counts_past_narrow_integers_and_on_rows_without_successor():
     dst = np.concatenate((rest, rest[:200], rest, rest))
     owners = [1, 1, 0, 1, 0] + [v % 2 for v in range(5, n)]
     g = helpers.build_game(n, owners, (src, dst))
-    assert [g.out_degree(v) for v in range(5)] == [n - 5, 200, 0, 0, n - 5]
+    assert [g.successors(v).size for v in range(5)] == [n - 5, 200, 0, 0, n - 5]
     full = StateSet.full(n)
     targets = {
         "all": (full, {0, 1, 3, 4}),
@@ -271,6 +271,23 @@ def test_pre_kernel_arrays_share_one_index_dtype(monkeypatch):
             pre(g, grown, tracker=tracker)
         assert {a.dtype for a in g._in_edges} == {np.dtype(np.int64)}
         assert pre(g, s, tracker=tracker) == expected, f"seed {seed}"
+
+
+def test_narrow_keeps_the_rows_at_its_positions_and_rejects_others():
+    g = helpers.random_graph(3, n=9)
+    rows = g.row_slice(helpers.random_subset(4, 9).bits)
+    assert rows.rows.size >= 3
+    at = np.array([0, 2])
+    cut = g.narrow(rows, at)
+    want = g.row_slice(np.isin(np.arange(9), rows.rows[at]))
+    for name in ("rows", "indptr", "indices", "floor", "pre_every"):
+        assert np.array_equal(getattr(cut, name), getattr(want, name)), name
+    assert g.narrow(rows, np.array([], dtype=np.int64)).rows.size == 0
+    # The compiled row copy reads its positions unchecked, so one before the
+    # first row or past the last is refused before the copy.
+    for bad in ([-2], [0, -3], [rows.rows.size]):
+        with pytest.raises(ValueError, match="row positions"):
+            g.narrow(rows, np.array(bad))
 
 
 def test_pre_rejects_a_mask_of_the_wrong_length():
