@@ -3,6 +3,7 @@ and the compare harness."""
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import subprocess
@@ -753,6 +754,150 @@ def _assert_exits_4_before_allocating(argv, tmp_path, capsys):
     assert "exceed" in err
     assert peak < 1_000_000
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# output files: overwritten in place, never truncated to empty first
+
+
+def _solve_into(g1_files, win_path, strat_path):
+    game_path, spec_path = g1_files
+    return cli.main(
+        ["solve", str(game_path), str(spec_path), "--winning", str(win_path),
+         "--strategy", str(strat_path)]
+    )
+
+
+@pytest.fixture()
+def g1_outputs(g1_files, tmp_path):
+    """The bytes of g1's winning-set and strategy files, solved into new
+    files."""
+    win, strat = tmp_path / "fresh_w.txt", tmp_path / "fresh_s.txt"
+    assert _solve_into(g1_files, win, strat) == 0
+    return win.read_bytes(), strat.read_bytes()
+
+
+STALE = "# 99 states\n" + "".join(f"{v}\n" for v in range(99))
+
+
+def test_solve_overwrites_longer_files_with_exactly_the_new_bytes(
+    g1_files, g1_outputs, tmp_path, capsys
+):
+    win, strat = tmp_path / "w.txt", tmp_path / "s.txt"
+    win.write_text(STALE, encoding="utf-8")
+    strat.write_text(STALE, encoding="utf-8")
+    assert _solve_into(g1_files, win, strat) == 0
+    assert (win.read_bytes(), strat.read_bytes()) == g1_outputs
+    assert len(g1_outputs[0]) < len(STALE)
+
+
+def test_compare_csv_overwrites_a_longer_csv(instance_dir, tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    assert cli.main(["compare", str(instance_dir), "--csv", str(csv_path)]) == 0
+    assert len(csv_path.read_text(encoding="utf-8").splitlines()) == 7
+    assert cli.main(["compare", str(instance_dir / "inst0"), "--csv", str(csv_path)]) == 0
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(["compare", str(instance_dir / "inst0"), "--csv", str(fresh)]) == 0
+    text = csv_path.read_text(encoding="utf-8")
+    assert len(text.splitlines()) == 3
+    assert strip_wall_ms(text) == strip_wall_ms(fresh.read_text(encoding="utf-8"))
+
+
+def test_output_symlink_stays_a_link_to_the_new_text(
+    g1_files, g1_outputs, tmp_path, capsys
+):
+    target = tmp_path / "target.txt"
+    target.write_text(STALE, encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert _solve_into(g1_files, link, tmp_path / "s.txt") == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == g1_outputs[0]
+
+
+def test_output_file_keeps_its_mode(g1_files, tmp_path, capsys):
+    win = tmp_path / "w.txt"
+    win.write_text(STALE, encoding="utf-8")
+    win.chmod(0o640)
+    assert _solve_into(g1_files, win, tmp_path / "s.txt") == 0
+    assert win.stat().st_mode & 0o777 == 0o640
+
+
+def test_winning_to_dev_null_exits_0(g1_files, tmp_path, capsys):
+    assert _solve_into(g1_files, os.devnull, tmp_path / "s.txt") == 0
+
+
+def test_directory_as_output_path_exits_2(g1_files, tmp_path, capsys):
+    assert _solve_into(g1_files, tmp_path, tmp_path / "s.txt") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failed_write_leaves_a_prefix_of_the_new_text(
+    g1_files, g1_outputs, tmp_path, capsys, monkeypatch
+):
+    game_path, spec_path = g1_files
+    win = tmp_path / "w.txt"
+    win.write_text(STALE, encoding="utf-8")
+    real_write = os.write
+
+    def disk_full(fd, data):
+        real_write(fd, bytes(data[:5]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", disk_full)
+    rc = cli.main(["solve", str(game_path), str(spec_path), "--winning", str(win)])
+    monkeypatch.undo()
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
+    assert win.read_bytes() == g1_outputs[0][:5]
+
+
+def test_no_output_file_is_opened_with_o_trunc(instance_dir, tmp_path, capsys, monkeypatch):
+    real_open = os.open
+    opened: dict[str, int] = {}
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened[str(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    prefix = str(instance_dir / "inst0")
+    outputs = [str(tmp_path / name) for name in ("w.txt", "s.txt", "solve.csv")]
+    argvs = [
+        ["solve", prefix + ".game", prefix + ".spec", "--winning", outputs[0],
+         "--strategy", outputs[1], "--csv", outputs[2]],
+        ["compare", str(instance_dir), "--csv", str(tmp_path / "compare.csv")],
+        ["gen-random", "--states", "10", "--modes", "1", "--targets", "1",
+         "--out", str(tmp_path / "rand")],
+    ]
+    outputs += [str(tmp_path / name) for name in ("compare.csv", "rand.game", "rand.spec")]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    # Each output went through os.open, so none took a path that truncates.
+    assert set(outputs) <= set(opened)
+    assert [p for p, flags in opened.items() if flags & os.O_TRUNC] == []
+
+
+def test_gen_series_serializes_its_shared_game_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_serialize = cli.serialize_game
+
+    def counting(game):
+        calls.append(game)
+        return real_serialize(game)
+
+    monkeypatch.setattr(cli, "serialize_game", counting)
+    out_dir = tmp_path / "series"
+    argv = ["gen-series", "--states", "30", "--modes", "2", "--extra-max", "4",
+            "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    steps = benchgen.gen_multi_target_series(30, 2, 2.0, 0, range(1, 5))
+    for x, (game, spec) in enumerate(steps, 1):
+        prefix = out_dir / f"series_x{x:02d}"
+        assert Path(f"{prefix}.game").read_text(encoding="utf-8") == real_serialize(game)
+        assert Path(f"{prefix}.spec").read_text(encoding="utf-8") == format_spec_file(spec)
 
 
 # ---------------------------------------------------------------------------
