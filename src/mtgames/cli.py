@@ -38,6 +38,7 @@ from .strategy import (
     parse_strategy,
     parse_winning,
 )
+from .tokens import split_lines
 
 _SOLVERS = {"mt": solve_mt, "gr1emb": solve_gr1_emb}
 
@@ -299,11 +300,7 @@ def cmd_gen_robot(args: argparse.Namespace) -> int:
     width, height = int(m.group(1)), int(m.group(2))
     if args.boxes:
         rooms = []
-        for lineno, raw in enumerate(_read(args.boxes).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        for lineno, parts in split_lines(_read(args.boxes)):
             if len(parts) != 4:
                 raise GameParseError(
                     "expected 'col0 row0 col1 row1'", line=lineno

@@ -89,30 +89,22 @@ class FixpointEngine:
 class PersistenceReachResult:
     """Outcome of one persistence-or-reach computation, as boolean masks.
 
-    value:      the fixed point (states winning the one-mode objective).
-    bases:      per rank l (0-based) that grew Y, base_l = Pre(Y_l) | reach,
-                where Y_0 is empty.
-    x_iterates: per rank l, per persistence set P_j, X_l & P_j on P_j's
-                rows, where X_l is the inner fixed point computed against
-                Y_l. X_l = base_l | (X_l & P_j), and Y_(l+1) is the union of
-                base_l and the row's X_l.
-    x_last:     per persistence set, X & P_j on P_j's rows at the last
-                Y-step, the one that left Y unchanged.
+    value:   the fixed point (states winning the one-mode objective).
+    bases:   per rank l (0-based) that grew Y, base_l = Pre(Y_l) | reach,
+             where Y_0 is empty.
+    x_steps: per Y-step l, the last one (which left Y unchanged) included,
+             per persistence set P_j, X_l & P_j on P_j's rows, where X_l is
+             the inner fixed point computed against Y_l.
+             X_l = base_l | (X_l & P_j), and Y_(l+1) is the union of base_l
+             and the step's X_l. Valid ``x_seeds`` for a later run on the
+             same persistence sets whose reach set lies inside this run's.
 
     No mask here is changed after it is stored.
     """
 
     value: np.ndarray
     bases: list[np.ndarray]
-    x_iterates: list[list[np.ndarray]]
-    x_last: list[np.ndarray]
-
-    @property
-    def x_steps(self) -> list[list[np.ndarray]]:
-        """Every Y-step's inner fixed points on their sets' rows, the last
-        step's included: valid ``x_seeds`` for a later run on the same
-        persistence sets whose reach set lies inside this run's."""
-        return [*self.x_iterates, self.x_last]
+    x_steps: list[list[np.ndarray]]
 
 
 def solve_persistence_reach(
@@ -177,7 +169,7 @@ def solve_persistence_reach(
     # Pre of no_state leaves the tracker there.
     y_counts = game.pre_tracker(full=False)
     bases: list[np.ndarray] = []
-    x_iterates: list[list[np.ndarray]] = []
+    x_steps: list[list[np.ndarray]] = []
 
     while True:
         base = engine.pre(y, tracker=y_counts)
@@ -202,12 +194,12 @@ def solve_persistence_reach(
             new_y[u.rows[on_u]] = True
             x[at[on_u]] = True
             x_row.append(x)
+        x_steps.append(x_row)
         if np.array_equal(new_y, y):
             break
         y = new_y
         bases.append(base)
-        x_iterates.append(x_row)
-    return PersistenceReachResult(y, bases, x_iterates, x_row)
+    return PersistenceReachResult(y, bases, x_steps)
 
 
 def _chain_on_rows(
@@ -311,10 +303,11 @@ class ModeTrace:
         n: int,
         rows: Sequence[np.ndarray],
         bases: list[np.ndarray],
-        x_iterates: list[list[np.ndarray]],
+        x_steps: list[list[np.ndarray]],
     ) -> "ModeTrace":
         """The ranks of a :func:`solve_persistence_reach` result over n
-        states, whose persistence set j holds the states ``rows[j]``.
+        states, whose persistence set j holds the states ``rows[j]``, from
+        its ``bases`` and the first ``len(bases)`` of its ``x_steps``.
 
         The chains base_l and X_l & P_j both grow with l, and
         X_l = base_l | (X_l & P_j), so a state's x rank is its rank in
@@ -326,7 +319,7 @@ class ModeTrace:
         least = base_rank.copy()
         x_rank = []
         for j, r in enumerate(rows):
-            on_rows = _first_ranks([row[j] for row in x_iterates], r.size)
+            on_rows = _first_ranks([row[j] for row in x_steps[:steps]], r.size)
             least[r] = np.minimum(least[r], on_rows)
             xr = base_rank.copy()
             xr[r] = on_rows
@@ -412,7 +405,7 @@ def solve_stable_conjunction(
             # any other round would be thrown away.
             if record and np.array_equal(new_z, z):
                 rows = [s.rows for s in engine.row_slices(block)]
-                traces[i] = ModeTrace.from_iterates(game.n, rows, res.bases, res.x_iterates)
+                traces[i] = ModeTrace.from_iterates(game.n, rows, res.bases, res.x_steps)
         if np.array_equal(new_z, z):
             break
         z = new_z

@@ -56,7 +56,7 @@ from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from . import tokens
 from .errors import BoundExceeded, GameParseError, ValidationError
-from .sets import StateSet
+from .sets import StateSet, int_array
 
 PLAYER0 = 0
 PLAYER1 = 1
@@ -127,13 +127,13 @@ class GameGraph:
     ):
         if n < 0:
             raise ValueError("state count must be nonnegative")
-        owner = np.asarray(owners, dtype=np.int8)
+        owner = int_array(owners, "owners")
         if owner.shape != (n,):
             raise ValueError(f"expected {n} owner entries, got {owner.shape}")
         if owner.size and not np.all((owner == PLAYER0) | (owner == PLAYER1)):
             raise ValueError("owners must be 0 or 1")
         self._n = n
-        self._owner = owner
+        self._owner = owner.astype(np.int8)
         self._owner.flags.writeable = False
 
         src, dst = _edge_arrays(edges)
@@ -161,26 +161,18 @@ class GameGraph:
         self._prop_names: tuple[str, ...] = ()
         self._prop_masks: list[np.ndarray] = []
         if labels:
-            names = []
             for name, states in labels.items():
                 if not PROP_NAME_RE.match(name):
                     raise ValueError(f"invalid proposition name {name!r}")
                 mask = np.zeros(n, dtype=bool)
-                idx = (
-                    states.astype(np.int64)
-                    if isinstance(states, np.ndarray)
-                    else np.fromiter(states, dtype=np.int64)
-                )
+                idx = int_array(states, f"label states of {name!r}")
                 if idx.size:
                     if idx.min() < 0 or idx.max() >= n:
                         raise ValueError(f"label state out of range for {name!r}")
                     mask[idx] = True
                 mask.flags.writeable = False
-                names.append(name)
                 self._prop_masks.append(mask)
-            if len(set(names)) != len(names):
-                raise ValueError("duplicate proposition name")
-            self._prop_names = tuple(names)
+            self._prop_names = tuple(labels)
 
         self._outdeg = np.diff(self._indptr)
         self._is_p0 = self._owner == PLAYER0
@@ -351,32 +343,12 @@ class GameGraph:
         return indptr, sources, indegree
 
     def __eq__(self, other: object) -> bool:
+        """Whether both graphs write the same text: the same states, owners
+        and edges, and labels by name, since the text format cannot hold
+        an empty proposition."""
         if not isinstance(other, GameGraph):
             return NotImplemented
-        if self._n != other._n:
-            return False
-        if not np.array_equal(self._owner, other._owner):
-            return False
-        if not (
-            np.array_equal(self._indptr, other._indptr)
-            and np.array_equal(self._indices, other._indices)
-        ):
-            return False
-        # Labels compare by name; empty propositions are ignored since the
-        # text format cannot represent them.
-        mine = {
-            nm: mask
-            for nm, mask in zip(self._prop_names, self._prop_masks)
-            if mask.any()
-        }
-        theirs = {
-            nm: mask
-            for nm, mask in zip(other._prop_names, other._prop_masks)
-            if mask.any()
-        }
-        if mine.keys() != theirs.keys():
-            return False
-        return all(np.array_equal(mine[nm], theirs[nm]) for nm in mine)
+        return serialize_game(self) == serialize_game(other)
 
     __hash__ = None
 
@@ -466,11 +438,10 @@ class PreTracker:
 
 def _edge_arrays(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
-        return edges[0].astype(np.int64), edges[1].astype(np.int64)
-    pairs = list(edges)
-    if not pairs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
+        return int_array(edges[0], "edge sources"), int_array(edges[1], "edge targets")
+    arr = int_array(edges, "edges")
+    if not arr.size:
+        return arr, arr
     return arr[:, 0], arr[:, 1]
 
 
@@ -590,8 +561,9 @@ def load_game(text: str) -> GameGraph:
     :class:`ValidationError` listing structural issues (totality,
     duplicate edges).
 
-    Text in :func:`serialize_game`'s shape is read as arrays; any other
-    text, and every file that fails a check, goes through the line
+    Text in :func:`serialize_game`'s shape is read as arrays, and the
+    edge issues of such a file are worded from its arrays; any other
+    text, and every file that fails another check, goes through the line
     parser, which gives the same graph or words the error.
     """
     game = _load_arrays(text)
@@ -602,7 +574,8 @@ def _load_arrays(text: str) -> GameGraph | None:
     """The graph of a valid game file in :func:`serialize_game`'s shape:
     a ``states`` line, n ``owner`` lines, the ``edge`` lines and then the
     ``label`` lines, with 1 to 8 digit integers. None for any other text,
-    and for a file the line parser would reject."""
+    and for a file the line parser would reject for another reason than
+    its edge issues, which raise its :class:`ValidationError`."""
     tok = tokens.split(text)
     head = None if tok is None else tok.fields(slice(0, 1), b"states", 1)
     if head is None or head[0, 0] > MAX_STATES or head[0, 0] >= tok.per_line.size:
@@ -634,9 +607,8 @@ def _load_arrays(text: str) -> GameGraph | None:
     if props is None:
         return None
     game = GameGraph(n, owner_of, (src, dst), props)
-    # The line parser rejects duplicate edges and states without successor.
     if game.num_edges != m or not game._outdeg.all():
-        return None
+        raise ValidationError("; ".join(_edge_issues(n, src, dst)))
     return game
 
 
@@ -708,11 +680,7 @@ def _load_game_lines(text: str) -> GameGraph:
         except ValueError:
             raise GameParseError(f"expected integer {what}, got {tok!r}", lineno)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in tokens.split_lines(text):
         kind = parts[0]
         if kind == "states":
             if n is not None:

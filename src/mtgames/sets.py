@@ -16,6 +16,17 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 
+def int_array(values: Iterable, what: str) -> np.ndarray:
+    """``values``, an array or an iterable, as an int64 array. Floats,
+    which would be cut to states without a word, and booleans, which
+    would index the states 0 and 1, are refused; no values at all are
+    fine."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class StateSet:
     __slots__ = ("_bits",)
 
@@ -23,7 +34,7 @@ class StateSet:
         if universe < 0:
             raise ValueError("universe size must be nonnegative")
         bits = np.zeros(universe, dtype=bool)
-        idx = np.fromiter(members, dtype=np.int64)
+        idx = int_array(members, "members")
         if idx.size:
             if idx.min() < 0 or idx.max() >= universe:
                 raise ValueError("state index out of range")
@@ -34,8 +45,6 @@ class StateSet:
     @classmethod
     def _wrap(cls, bits: np.ndarray) -> "StateSet":
         s = cls.__new__(cls)
-        if bits.dtype != bool:
-            bits = bits.astype(bool)
         bits.flags.writeable = False
         s._bits = bits
         return s

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tokens
 from .errors import (
     ModeExclusivityError,
     SpecError,
@@ -244,11 +245,7 @@ def parse_spec_file(text: str) -> MTSpec:
     """Parse the ``mode``/``target`` line format into an MTSpec."""
     order: list[str] = []
     targets: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in tokens.split_lines(text):
         if parts[0] == "mode":
             if len(parts) != 2:
                 raise SpecParseError("expected 'mode <Name>'", line=lineno)

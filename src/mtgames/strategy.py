@@ -485,12 +485,9 @@ def parse_winning(text: str, n: int) -> StateSet:
 def _parse_winning_lines(text: str, n: int) -> StateSet:
     """:func:`parse_winning` for any text, one line at a time."""
     members = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, parts in tokens.split_lines(text):
         try:
-            v = int(line)
+            (v,) = map(int, parts)
         except ValueError:
             raise GameParseError("expected one state index per line", line=lineno)
         if not 0 <= v < n:

@@ -7,10 +7,14 @@ returns where every token and line starts, so the readers can check and
 convert whole columns at once. It returns None for any other text; the
 readers then fall back to their line parsers, which accept the looser
 forms (comments, blank lines, other whitespace) and word every error.
+The game, spec, winning-set and room-box line parsers take each line's
+tokens from :func:`split_lines`, which cuts ``#`` comments and skips
+blank lines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,3 +108,12 @@ def split(text: str) -> Tokens | None:
     first = np.flatnonzero(np.concatenate(([True], buf[end] == _NL))).astype(np.int32)
     end -= start
     return Tokens(buf, start, end, first)
+
+
+def split_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number, from 1, and whitespace-separated tokens of every
+    line of ``text`` that holds a token once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts

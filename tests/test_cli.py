@@ -397,6 +397,22 @@ def test_memory_error_exits_4(g1_files, monkeypatch, capsys):
     assert "out of memory" in capsys.readouterr().err
 
 
+def _solve_pre_count(argv, capsys) -> int:
+    assert cli.main(argv) == 0
+    return int(re.search(r"pre_count=(\d+)", capsys.readouterr().out)[1])
+
+
+def test_solve_warm_writes_the_cold_winning_set_with_no_more_pre(tmp_path, capsys):
+    game, spec = benchgen.gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0)
+    game_path, spec_path = write_instance(tmp_path, "rand", game, spec)
+    for algo in ("mt", "gr1emb"):
+        base = ["solve", str(game_path), str(spec_path), "--algo", algo, "--winning"]
+        cold = _solve_pre_count([*base, str(tmp_path / "cold.txt")], capsys)
+        warm = _solve_pre_count([*base, str(tmp_path / "warm.txt"), "--warm"], capsys)
+        assert warm <= cold, algo
+        assert (tmp_path / "warm.txt").read_bytes() == (tmp_path / "cold.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -481,6 +497,24 @@ def test_compare_runs_serially_by_default(instance_dir, tmp_path, capsys, monkey
     )
 
 
+def test_compare_warm_exits_0_with_no_more_pre_than_cold(instance_dir, tmp_path, capsys):
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert cli.main(["compare", str(instance_dir), "--csv", str(cold)]) == 0
+    assert cli.main(["compare", str(instance_dir), "--warm", "--csv", str(warm)]) == 0
+    assert "all winning sets equal" in capsys.readouterr().out
+
+    def rows(path):
+        return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+    pairs = list(zip(rows(cold), rows(warm), strict=True))
+    assert len(pairs) == 6
+    for c, w in pairs:
+        # Same algorithm, instance, outer rounds and winning size;
+        # pre_count no higher.
+        assert (c[:5], c[6], c[8]) == (w[:5], w[6], w[8])
+        assert int(w[5]) <= int(c[5])
+
+
 def test_compare_csv_deterministic_modulo_wall_ms(instance_dir, tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("MTGAMES_THREADS", "1")
@@ -521,6 +555,15 @@ def test_gen_random_cli(tmp_path, capsys):
     assert spec.target_counts == (2, 1)
     # Round trip: solvable end to end.
     assert cli.main(["compare", str(prefix)]) == 0
+
+
+def test_gen_random_alternate_owners(tmp_path, capsys):
+    prefix = tmp_path / "rand"
+    argv = ["gen-random", "--states", "7", "--modes", "2", "--targets", "1,1",
+            "--alternate-owners", "--out", str(prefix)]
+    assert cli.main(argv) == 0
+    game = load_game((tmp_path / "rand.game").read_text(encoding="utf-8"))
+    assert [game.owner(v) for v in range(game.n)] == [0, 1, 0, 1, 0, 1, 0]
 
 
 def test_gen_random_cli_errors(tmp_path):
@@ -594,6 +637,26 @@ def test_gen_robot_words_a_grid_too_small_for_the_rooms(
     err = capsys.readouterr().err
     assert f"grid {grid} is too small for {rooms} built-in rooms" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_robot_boxes_skip_comment_and_blank_lines(tmp_path, capsys):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("0 0 1 1\n3 3 4 4\n", encoding="utf-8")
+    commented.write_text("# rooms\n\n0 0 1 1\n   \n3 3 4 4 # last\n", encoding="utf-8")
+    for boxes in (plain, commented):
+        argv = ["gen-robot", "--rooms", "2", "--grid", "5x5", "--boxes", str(boxes),
+                "--out", str(tmp_path / boxes.stem)]
+        assert cli.main(argv) == 0
+    assert (tmp_path / "commented.game").read_bytes() == (tmp_path / "plain.game").read_bytes()
+
+
+def test_gen_robot_words_a_bound_that_is_not_an_integer(tmp_path, capsys):
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("# rooms\n0 0 1 x\n", encoding="utf-8")
+    argv = ["gen-robot", "--rooms", "1", "--grid", "5x5", "--boxes", str(boxes),
+            "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: line 2: room bounds must be integers\n"
 
 
 def test_gen_robot_cli_errors(tmp_path):
@@ -688,6 +751,16 @@ def test_generators_reject_a_negative_seed(argv, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "--seed: must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generators_reject_a_seed_that_is_not_an_integer(tmp_path, capsys):
+    argv = ["gen-robot", "--rooms", "2", "--grid", "9x8", "--out", str(tmp_path / "rb"),
+            "--seed", "abc"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed: expected an integer, got 'abc'" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

@@ -163,7 +163,7 @@ def test_persistence_value_contains_reach_and_stay_regions():
         stay = engine.gfp(stay_op(engine, p))
         assert subset(stay.bits, res.value)
         # The last step's inner fixed point, on P's rows.
-        assert subset(res.x_last[0], res.value[p.bits])
+        assert subset(res.x_steps[-1][0], res.value[p.bits])
 
 
 def test_persistence_warm_seeds_reproduce_value():
@@ -225,11 +225,11 @@ def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, edge_bound)
             g, persist, reach, seeds
         )
         assert np.array_equal(res.value, value), seed
-        assert all(map(np.array_equal, res.x_last, helpers.seeds_on_rows(persist, [last_x])[0]))
+        assert all(map(np.array_equal, res.x_steps[-1], helpers.seeds_on_rows(persist, [last_x])[0]))
         assert engine.stats.pre_count == calls, seed
         # Every step's base and inner fixed points are the plain loop's.
         assert all(map(np.array_equal, res.bases, bases)), seed
-        for row, ref_row in zip(res.x_iterates, helpers.seeds_on_rows(persist, xs), strict=True):
+        for row, ref_row in zip(res.x_steps[:-1], helpers.seeds_on_rows(persist, xs), strict=True):
             assert all(map(np.array_equal, row, ref_row)), seed
 
 
@@ -246,7 +246,7 @@ def test_first_inner_step_stays_inside_the_seed(monkeypatch, edge_bound):
     seeds = [[np.array([True, False])]]
     engine = FixpointEngine(g)
     res = solve_persistence_reach(engine, persist, np.zeros(3, bool), x_seeds=seeds)
-    assert members(res.value) == set() and members(res.x_last[0]) == set()
+    assert members(res.value) == set() and members(res.x_steps[-1][0]) == set()
     assert engine.stats.pre_count == 3
 
 
@@ -260,7 +260,7 @@ def test_recorded_iterates_form_increasing_chain(monkeypatch):
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, p, q)
         res = solve_persistence_reach(engine, persist, reach.bits)
-        ys, xs = helpers.full_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
+        ys, xs = helpers.full_iterates(g.n, rows_of(engine, persist), res.bases, res.x_steps[:-1])
         assert not ys[0].any()
         for a, b in zip(ys, ys[1:]):
             # strictly increasing until the fixed point
@@ -293,7 +293,7 @@ def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, *(p, q)[:sets])
         res = solve_persistence_reach(engine, persist, reach.bits)
-        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
+        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_steps[:-1])
         assert len(tr.x_rank) == sets
         _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach.bits)
         assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, sets))
@@ -313,8 +313,8 @@ def test_mode_trace_handles_immediate_convergence(monkeypatch):
         force_edge_bound(monkeypatch, edge_bound)
         engine = FixpointEngine(g)
         res = solve_persistence_reach(engine, persist, np.zeros(2, bool))
-        assert len(res.bases) == 0 and len(res.x_iterates) == 0
-        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_iterates)
+        assert len(res.bases) == 0 and len(res.x_steps[:-1]) == 0
+        tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_steps[:-1])
         assert not (tr.y_rank >= 1).any()
         assert not (tr.x_rank[0] >= 0).any()
         assert len(tr.x_rank) == 1
@@ -345,8 +345,8 @@ def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, edge_bound):
         assert sizes[:2] == [0, g.n]
         assert all([x.size for x in row] == sizes for row in res.x_steps), seed
         _, last_x, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach, seeds)
-        assert all(map(np.array_equal, res.x_last, helpers.seeds_on_rows(persist, [last_x])[0]))
-        tr = ModeTrace.from_iterates(g.n, rows, res.bases, res.x_iterates)
+        assert all(map(np.array_equal, res.x_steps[-1], helpers.seeds_on_rows(persist, [last_x])[0]))
+        tr = ModeTrace.from_iterates(g.n, rows, res.bases, res.x_steps[:-1])
         assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, len(sets)))
 
 
@@ -440,10 +440,10 @@ def test_traces_are_built_only_in_rounds_that_leave_z_unchanged(monkeypatch, war
     built = []
     original = ModeTrace.from_iterates
 
-    def counted(n, rows, bases, x_iterates):
+    def counted(n, rows, bases, x_steps):
         built.append(len(rows))
-        tr = original(n, rows, bases, x_iterates)
-        assert helpers.same_trace(tr, helpers.recorded_trace_oracle(n, rows, bases, x_iterates))
+        tr = original(n, rows, bases, x_steps)
+        assert helpers.same_trace(tr, helpers.recorded_trace_oracle(n, rows, bases, x_steps))
         return tr
 
     monkeypatch.setattr(ModeTrace, "from_iterates", counted)

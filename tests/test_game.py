@@ -84,6 +84,41 @@ def test_constructor_rejects_bad_shapes():
         GameGraph(2, [0], [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         GameGraph(2, [0, 7], [(0, 0), (1, 1)])
+    # 256 would wrap to owner 0 in int8.
+    with pytest.raises(ValueError, match="owners must be 0 or 1"):
+        GameGraph(2, np.array([0, 256]), [(0, 0), (1, 1)])
+
+
+def test_constructor_rejects_states_out_of_range_and_bad_names():
+    with pytest.raises(ValueError, match="edge source out of range"):
+        GameGraph(2, [0, 1], [(2, 0), (1, 0)])
+    with pytest.raises(ValueError, match="invalid proposition name '1P'"):
+        GameGraph(2, [0, 1], [(0, 1), (1, 0)], {"1P": [0]})
+    with pytest.raises(ValueError, match="label state out of range for 'P'"):
+        GameGraph(2, [0, 1], [(0, 1), (1, 0)], {"P": [0, 2]})
+
+
+def test_constructor_refuses_float_owners():
+    with pytest.raises(ValueError, match="owners must be integers"):
+        GameGraph(2, [0.9, 1.2], [(0, 1), (1, 0)])
+
+
+def test_constructor_refuses_float_edges():
+    with pytest.raises(ValueError, match="edges must be integers"):
+        GameGraph(2, [0, 1], [(0.5, 1.0), (1.7, 0.2)])
+    with pytest.raises(ValueError, match="edge sources must be integers"):
+        GameGraph(2, [0, 1], (np.array([0.5, 1.0]), np.array([1, 0])))
+
+
+def test_constructor_refuses_float_label_states():
+    with pytest.raises(ValueError, match="label states of 'P' must be integers"):
+        GameGraph(2, [0, 1], [(0, 1), (1, 0)], {"P": [0.5]})
+
+
+def test_constructor_refuses_a_boolean_mask_as_label_states():
+    # Read as indices, the mask [True, False] would label the states 1 and 0.
+    with pytest.raises(ValueError, match="label states of 'T1' must be integers, not bool"):
+        GameGraph(2, [0, 0], [(0, 1), (1, 0)], {"M1": [0, 1], "T1": np.array([True, False])})
 
 
 def test_equality_ignores_label_storage_details():
@@ -339,6 +374,13 @@ def test_pre_of_the_shared_every_and_no_state_masks_needs_no_count(monkeypatch):
     assert not calls
     pre(g, np.ones(6, bool))
     assert len(calls) == 1
+
+
+def test_pre_refuses_a_tracker_with_a_row_slice(g2_game):
+    tracker = PreTracker(g2_game, False)
+    rows = g2_game.row_slice(g2_game.every_state)
+    with pytest.raises(ValueError, match="a tracked Pre is over the whole graph"):
+        pre(g2_game, np.ones(g2_game.n, bool), within=rows, tracker=tracker)
 
 
 def test_tracked_pre_rejects_a_mask_that_is_not_boolean():

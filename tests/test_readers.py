@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mtgames import game as game_mod
 from mtgames import strategy as strategy_mod
 from mtgames.benchgen import (
     RobotWorld,
@@ -21,6 +22,7 @@ from mtgames.benchgen import (
     gen_random_game,
     scaled_rooms,
 )
+from mtgames.errors import ValidationError
 from mtgames.game import (
     GameGraph,
     _load_arrays,
@@ -138,10 +140,35 @@ def test_load_game_equals_the_line_parser_on_mutated_files():
             text = mutate(text, game.n, rng)
         expected = outcome(_load_game_lines, text)
         assert outcome(load_game, text) == expected, (case, text)
-        by_arrays += _load_arrays(text) is not None
+        try:
+            by_arrays += _load_arrays(text) is not None
+        except ValidationError:
+            by_arrays += 1
     # The fuzz reaches the array path with files other than the originals
-    # (reordered owner, edge and label lines, leading zeros).
+    # (reordered owner, edge and label lines, leading zeros, and edge lines
+    # repeated or dropped, whose issues the array path words).
     assert by_arrays > 2 * len(games)
+
+
+def test_edge_issues_of_a_written_file_are_worded_from_its_arrays(monkeypatch):
+    lines = serialize_game(no_labels()).splitlines(keepends=True)
+    edge = lines.index("edge 1 2\n")
+    texts = (
+        # edge 1 2 listed twice, and state 1 with no edge at all.
+        "".join(lines[: edge + 1] + lines[edge:]),
+        "".join(lines[:edge] + lines[edge + 1 :]),
+    )
+    expected = [outcome(_load_game_lines, text) for text in texts]
+    assert [e[:2] for e in expected] == [
+        (ValidationError, "state 1: duplicate edge to 2"),
+        (ValidationError, "state 1: no successor"),
+    ]
+
+    def refuse(text):
+        raise AssertionError("line parser called on a written file")
+
+    monkeypatch.setattr(game_mod, "_load_game_lines", refuse)
+    assert [outcome(load_game, text) for text in texts] == expected
 
 
 def written_strategies(rng: np.random.Generator) -> list[tuple[str, str, int]]:

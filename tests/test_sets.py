@@ -41,6 +41,14 @@ def test_construction_rejects_bad_indices():
         StateSet(-1)
 
 
+def test_construction_refuses_float_and_boolean_members():
+    with pytest.raises(ValueError, match="members must be integers, not float64"):
+        StateSet(3, [0.5, 2.9])
+    with pytest.raises(ValueError, match="members must be integers, not bool"):
+        StateSet(3, np.array([True, False, True]))
+    assert len(StateSet(3, [])) == 0
+
+
 def test_empty_full_from_mask():
     assert len(StateSet.empty(4)) == 0
     assert not StateSet.empty(4)

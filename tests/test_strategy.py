@@ -230,6 +230,7 @@ def test_check_passes_on_extracted(g1_game, one_mode_spec):
     verdict = check_strategy(g1_game, one_mode_spec, strat, result.winning)
     assert verdict.ok
     assert verdict.reason is None
+    assert verdict.lasso(g1_game) is None
 
 
 def test_check_detects_violating_cycle(g1_game, one_mode_spec):
