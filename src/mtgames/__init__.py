@@ -43,7 +43,7 @@ from .game import (
     serialize_game,
     validate_graph,
 )
-from .gr1 import EmbeddedGR1, GR1SolveResult, embed, solve_gr1, solve_gr1_emb
+from .gr1 import embed, solve_gr1_emb
 from .sets import StateSet
 from .solver import (
     MTSolveResult,
@@ -52,7 +52,6 @@ from .solver import (
     solve_mt_reference,
 )
 from .specs import (
-    GR1Spec,
     LassoWord,
     ModeSpec,
     MTSpec,
@@ -85,13 +84,10 @@ __all__ = [
     "BoundExceeded",
     "BoundSpec",
     "CheckVerdict",
-    "EmbeddedGR1",
     "FixpointEngine",
     "FixpointStats",
     "GameGraph",
     "GameParseError",
-    "GR1SolveResult",
-    "GR1Spec",
     "LassoWord",
     "ModeExclusivityError",
     "ModeSpec",
@@ -129,7 +125,6 @@ __all__ = [
     "require_exclusive",
     "scaled_rooms",
     "serialize_game",
-    "solve_gr1",
     "solve_gr1_emb",
     "solve_mt",
     "solve_mt_reference",

@@ -161,6 +161,9 @@ def solve_persistence_reach(
         for row in x_seeds:
             if len(row) != len(slices):
                 raise ValueError(f"{len(row)} seeds for {len(slices)} persistence sets")
+            # An integer seed would index the rows by value.
+            if any(s.dtype != bool for s in row):
+                raise ValueError("a seed must be a boolean mask")
             if any(s.shape != rows.rows.shape for s, rows in zip(row, slices)):
                 raise ValueError("a seed does not match its persistence set's rows")
     on_rows = game.edge_bound
@@ -382,9 +385,11 @@ def solve_stable_conjunction(
     set itself, which confirms it -- compressed into rank arrays. This
     adds no predecessor evaluations.
     """
+    m = len(persist_blocks)
+    if len(exit_masks) != m:
+        raise ValueError(f"{len(exit_masks)} exit sets for {m} persistence blocks")
     engine = FixpointEngine(game)
     stats = engine.stats
-    m = len(persist_blocks)
     seeds: list[list[list[np.ndarray]] | None] = [None] * m
     traces: list[ModeTrace] | None = [None] * m if record else None
 

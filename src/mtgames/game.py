@@ -437,11 +437,19 @@ class PreTracker:
 
 
 def _edge_arrays(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and targets of ``edges``, given as (source, target) pairs or
+    as a tuple of two 1-D arrays of equal length; any other shape is
+    refused rather than cut."""
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
-        return int_array(edges[0], "edge sources"), int_array(edges[1], "edge targets")
+        src, dst = int_array(edges[0], "edge sources"), int_array(edges[1], "edge targets")
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("edge sources and targets must be 1-D arrays of equal length")
+        return src, dst
     arr = int_array(edges, "edges")
     if not arr.size:
-        return arr, arr
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be (source, target) pairs")
     return arr[:, 0], arr[:, 1]
 
 

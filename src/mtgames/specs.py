@@ -15,9 +15,9 @@ and the equivalent structured file format::
     mode M2
     target M2 T21
 
-Modes must label states mutually exclusively. GR1Spec captures the
-conjunction-implies-conjunction recurrence shape used by the embedding
-solver; its sides are already resolved to state sets.
+Modes must label states mutually exclusively. ``bind_spec`` resolves
+a specification against one graph's labels as boolean masks
+(``BoundSpec``); both solvers, and the GR(1) embedding, read only that.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import (
     UnboundProposition,
 )
 from .game import PROP_NAME_RE, GameGraph
-from .sets import StateSet
 
 # Tokens that look like temporal operators; seeing one where 'FG' is
 # required means the formula is outside the supported fragment rather
@@ -86,27 +85,6 @@ class MTSpec:
     @property
     def max_targets(self) -> int:
         return max(self.target_counts)
-
-
-@dataclass(frozen=True)
-class GR1Spec:
-    """Recurrence-implies-recurrence objective over resolved state sets.
-
-    Assumptions may be empty (an empty conjunction holds trivially);
-    at least one guarantee is required.
-    """
-
-    assumptions: tuple[StateSet, ...]
-    guarantees: tuple[StateSet, ...]
-
-    def __post_init__(self):
-        if not self.guarantees:
-            raise SpecError("at least one guarantee is required")
-        universes = {s.universe for s in self.assumptions} | {
-            s.universe for s in self.guarantees
-        }
-        if len(universes) > 1:
-            raise SpecError("assumption/guarantee sets disagree on universe size")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ the persistence-or-reach subroutine, and iterate-trace recording."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -135,6 +135,20 @@ def test_persistence_rejects_a_seed_count_other_than_the_set_count(g2_game):
                 solve_persistence_reach(engine, persist, np.zeros(2, bool), x_seeds=steps)
     with pytest.raises(ValueError, match="no seed step"):
         solve_persistence_reach(engine, persist, np.zeros(2, bool), x_seeds=[])
+
+
+def test_persistence_rejects_seeds_that_are_not_boolean():
+    # An integer seed would index its set's rows by value: fed as 0/1
+    # integers, the run's own x_steps gave every state losing.
+    g = helpers.build_game(4, [0] * 4, [(0, 1), (1, 2), (2, 3), (3, 3)])
+    persist, reach = np.array([[False, True, True, True]]), np.zeros(4, bool)
+    cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
+    assert cold.value.all()
+    as_ints = [[x.astype(np.int64) for x in row] for row in cold.x_steps]
+    with pytest.raises(ValueError, match="a seed must be a boolean mask"):
+        solve_persistence_reach(FixpointEngine(g), persist, reach, x_seeds=as_ints)
+    warm = solve_persistence_reach(FixpointEngine(g), persist, reach, x_seeds=cold.x_steps)
+    assert warm.value.all()
 
 
 def test_persistence_frozen_g2(g2_game):
@@ -636,14 +650,12 @@ def test_pre_calls_equal_pre_count_direct_and_embedded(monkeypatch, warm, record
 @pytest.mark.parametrize("warm", [False, True])
 def test_pre_calls_equal_pre_count_generic_gr1(monkeypatch, warm):
     from mtgames.benchgen import gen_random_game
-    from mtgames.gr1 import embed, solve_gr1
 
     calls = _counting_pre(monkeypatch)
     for seed in range(4):
         game, spec = gen_random_game(40, 3, [3, 1, 2], 2.0, seed)
-        gr1 = embed(game, spec).spec()
         calls.clear()
-        result = solve_gr1(game, gr1, warm=warm)
+        result = _solve("gr1", game, spec, warm)
         assert result.stats.pre_count > 0
         assert len(calls) == result.stats.pre_count, seed
 
@@ -651,17 +663,10 @@ def test_pre_calls_equal_pre_count_generic_gr1(monkeypatch, warm):
 @pytest.mark.parametrize("algo", ["mt", "gr1emb", "gr1"])
 def test_inner_pre_calls_carry_a_row_slice(monkeypatch, algo):
     from mtgames.benchgen import gen_random_game
-    from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
-    from mtgames.solver import solve_mt
 
     calls = _counting_pre(monkeypatch)
     game, spec = gen_random_game(40, 3, [3, 1, 2], 2.0, 0)
-    if algo == "mt":
-        result = solve_mt(game, spec)
-    elif algo == "gr1emb":
-        result = solve_gr1_emb(game, spec)
-    else:
-        result = solve_gr1(game, embed(game, spec).spec())
+    result = _solve(algo, game, spec, warm=False)
     assert len(calls) == result.stats.pre_count
     sliced = sum(_carries_slice(c) for c in calls)
     # Pre(Z) and every Pre(Y) stay on the full graph.
@@ -756,11 +761,19 @@ def test_row_slices_are_built_once_per_persistence_set(monkeypatch, warm):
 
 
 def _solve(algo, game, spec, warm):
-    from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
+    """Solve the instance by the direct solver ("mt") or the embedding
+    ("gr1emb"), or ("gr1") solve on its graph a GR(1) objective that no
+    embedding makes: three assumption complements and four guarantees
+    drawn at random, so that they overlap one another."""
+    from mtgames.gr1 import solve_gr1_emb
     from mtgames.solver import SolveOptions, solve_mt
 
     if algo == "gr1":
-        return solve_gr1(game, embed(game, spec).spec(), warm=warm)
+        rng = np.random.default_rng(game.num_edges)
+        avoid = rng.random((3, game.n)) < 0.2
+        res = solve_stable_conjunction(game, [avoid] * 4, rng.random((4, game.n)) < 0.3, warm=warm)
+        # The winning set as the solvers hand it out.
+        return replace(res, winning=StateSet.from_mask(res.winning))
     solve = solve_mt if algo == "mt" else solve_gr1_emb
     return solve(game, spec, SolveOptions(warm=warm))
 

@@ -87,6 +87,23 @@ def test_constructor_rejects_bad_shapes():
     # 256 would wrap to owner 0 in int8.
     with pytest.raises(ValueError, match="owners must be 0 or 1"):
         GameGraph(2, np.array([0, 256]), [(0, 0), (1, 1)])
+    # Edges are (source, target) pairs or a tuple of two equal-length 1-D
+    # arrays; no other shape is read, cut or padded.
+    pairs = "edges must be .source, target. pairs"
+    arrays = "edge sources and targets must be 1-D arrays of equal length"
+    for edges, match in [
+        # A tuple of two lists is read as pairs: two rows of three here.
+        (([0, 1, 2], [1, 2, 0]), pairs),
+        ([(0, 1, 5), (1, 0, 7)], pairs),
+        ([0, 1], pairs),
+        ((np.array([[0], [1]]), np.array([[1], [0]])), arrays),
+        ((np.array([0, 1, 2]), np.array([1, 2])), arrays),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            GameGraph(3, [0, 0, 0], edges)
+    ring = GameGraph(3, [0, 0, 0], (np.array([0, 1, 2]), np.array([1, 2, 0])))
+    assert ring == GameGraph(3, [0, 0, 0], [(0, 1), (1, 2), (2, 0)])
+    assert ring.num_edges == 3
 
 
 def test_constructor_rejects_states_out_of_range_and_bad_names():

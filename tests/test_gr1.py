@@ -1,5 +1,5 @@
-"""Recurrence-implies-recurrence solver and the mode-target reduction
-onto it."""
+"""The mode-target reduction to GR(1), and general GR(1) objectives
+solved by the shared nested core."""
 
 from __future__ import annotations
 
@@ -9,10 +9,25 @@ import pytest
 import helpers
 from mtgames.benchgen import gen_random_game
 from mtgames.errors import ModeExclusivityError, ValidationError
-from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
-from mtgames.sets import StateSet
+from mtgames.fixpoint import solve_stable_conjunction
+from mtgames.gr1 import embed, solve_gr1_emb
 from mtgames.solver import SolveOptions, solve_mt
-from mtgames.specs import GR1Spec, ModeSpec, MTSpec, bind_spec, parse_mt_formula
+from mtgames.specs import ModeSpec, MTSpec, bind_spec, parse_mt_formula
+
+
+def mask(n, *states):
+    out = np.zeros(n, dtype=bool)
+    out[list(states)] = True
+    return out
+
+
+def gr1_winning(game, avoid, guarantees, warm=False):
+    """Winning states of the GR(1) objective with the rows of ``avoid`` as
+    assumption complements and ``guarantees`` as guarantees, solved by the
+    core with one block object shared by every guarantee."""
+    avoid = np.array(avoid, dtype=bool).reshape(len(avoid), game.n)
+    res = solve_stable_conjunction(game, [avoid] * len(guarantees), guarantees, warm=warm)
+    return set(np.flatnonzero(res.winning).tolist())
 
 
 def two_mode_instance():
@@ -39,44 +54,40 @@ def two_mode_instance():
 
 def test_embed_shapes_and_padding():
     g, spec = two_mode_instance()
-    emb = embed(g, spec)
-    assert len(emb.assumptions) == 2  # max target count
-    assert len(emb.guarantees) == 2  # mode count
-    assert emb.bound.spec == spec
+    hit, bound = embed(g, spec)
+    assert hit.shape == (2, 5)  # max target count x n
+    assert bound.modes.shape == (2, 5)  # one guarantee per mode
+    assert bound.spec == spec
     # Target lists are bound as declared; the short mode is not padded.
-    assert [len(rows) for rows in emb.bound.targets] == [2, 1]
-    assert np.flatnonzero(emb.bound.targets[0][0]).tolist() == [0]
-    assert np.flatnonzero(emb.bound.targets[0][1]).tolist() == [4]
-    assert np.flatnonzero(emb.bound.targets[1][0]).tolist() == [2]
+    assert [len(rows) for rows in bound.targets] == [2, 1]
+    assert np.flatnonzero(bound.targets[0][0]).tolist() == [0]
+    assert np.flatnonzero(bound.targets[0][1]).tolist() == [4]
+    assert np.flatnonzero(bound.targets[1][0]).tolist() == [2]
 
 
 def test_embed_frozen_sets():
     g, spec = two_mode_instance()
-    emb = embed(g, spec)
+    hit, bound = embed(g, spec)
     # Position 0 collects the mode/first-target overlaps: {0} and {2}.
-    assert set(emb.assumptions[0]) == {1, 3, 4}
+    assert np.flatnonzero(hit[0]).tolist() == [0, 2]
     # Position 1: second targets contribute nothing (T12 misses M1).
-    assert set(emb.assumptions[1]) == {0, 1, 2, 3, 4}
-    assert set(emb.guarantees[0]) == {2, 3, 4}
-    assert set(emb.guarantees[1]) == {0, 1, 4}
+    assert not hit[1].any()
+    assert np.flatnonzero(~bound.modes[0]).tolist() == [2, 3, 4]
+    assert np.flatnonzero(~bound.modes[1]).tolist() == [0, 1, 4]
 
 
 def test_embed_assumption_complement_identity():
     for seed in range(8):
         game, spec = gen_random_game(20, 3, [2, 1, 3], 2.0, seed)
-        emb = embed(game, spec)
-        bound = bind_spec(game, spec)
-        assert len(emb.assumptions) == spec.max_targets
-        for j, a in enumerate(emb.assumptions):
-            hit = np.zeros(game.n, dtype=bool)
+        hit, bound = embed(game, spec)
+        assert np.array_equal(bound.modes, bind_spec(game, spec).modes)
+        assert len(hit) == spec.max_targets
+        for j, row in enumerate(hit):
+            want = np.zeros(game.n, dtype=bool)
             for mode, targets in zip(bound.modes, bound.targets):
                 if j < len(targets):
-                    overlap = mode & targets[j]
-                    assert not (overlap & a.bits).any()
-                    hit |= overlap
-            assert np.array_equal(~a.bits, hit)
-        for mode, g in zip(bound.modes, emb.guarantees):
-            assert np.array_equal(~g.bits, mode)
+                    want |= mode & targets[j]
+            assert np.array_equal(row, want)
 
 
 def test_embed_requires_exclusive_modes():
@@ -86,15 +97,6 @@ def test_embed_requires_exclusive_modes():
     spec = MTSpec((ModeSpec("M1", ("T",)), ModeSpec("M2", ("T",))))
     with pytest.raises(ModeExclusivityError):
         embed(g, spec)
-
-
-def test_embedded_spec_view():
-    g, spec = two_mode_instance()
-    emb = embed(g, spec)
-    gr1 = emb.spec()
-    assert isinstance(gr1, GR1Spec)
-    assert len(gr1.assumptions) == 2
-    assert len(gr1.guarantees) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -136,38 +138,26 @@ def test_emb_warm_preserves_winning_set():
 
 
 # ---------------------------------------------------------------------------
-# Generic recurrence solver
-
-
-def test_gr1_on_embedded_spec_equals_embedded_solver():
-    for seed in range(8):
-        game, spec = gen_random_game(25, 2, [2, 1], 2.0, seed)
-        emb_result = solve_gr1_emb(game, spec)
-        generic = solve_gr1(game, embed(game, spec).spec())
-        assert generic.winning == emb_result.winning
-        assert generic.stats.pre_count == emb_result.stats.pre_count
+# General GR(1) objectives through the core
 
 
 def test_gr1_without_assumptions_is_recurrence_region():
     # 0 -> 1 -> 2 -> 0 cycle, all controlled: every state revisits 0.
     ring = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 2), (2, 0)])
-    spec = GR1Spec((), (StateSet(3, [0]),))
-    assert helpers.frozen(solve_gr1(ring, spec).winning) == {0, 1, 2}
+    # No assumptions: a 0 x n block.
+    assert gr1_winning(ring, [], [mask(3, 0)]) == {0, 1, 2}
 
     # The adversary at state 1 may divert to an absorbing state 2.
     trap = helpers.build_game(3, [0, 1, 0], [(0, 1), (1, 0), (1, 2), (2, 2)])
-    spec = GR1Spec((), (StateSet(3, [0]),))
-    assert helpers.frozen(solve_gr1(trap, spec).winning) == set()
+    assert gr1_winning(trap, [], [mask(3, 0)]) == set()
 
 
 def test_gr1_multiple_guarantees_need_all():
     # Two controlled loops; only state 1 is repeatable from {1}, so a
     # guarantee pair {1},{2} forces the empty region on a split graph.
     g = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 1), (2, 2)])
-    both = GR1Spec((), (StateSet(3, [1]), StateSet(3, [2])))
-    assert helpers.frozen(solve_gr1(g, both).winning) == set()
-    single = GR1Spec((), (StateSet(3, [1]),))
-    assert helpers.frozen(solve_gr1(g, single).winning) == {0, 1}
+    assert gr1_winning(g, [], [mask(3, 1), mask(3, 2)]) == set()
+    assert gr1_winning(g, [], [mask(3, 1)]) == {0, 1}
 
 
 def test_gr1_assumption_escape_counts_as_win():
@@ -175,30 +165,33 @@ def test_gr1_assumption_escape_counts_as_win():
     # state that can park in the assumption's complement wins without
     # ever visiting the guarantee.
     g = helpers.build_game(2, [0, 0], [(0, 0), (0, 1), (1, 1)])
-    spec = GR1Spec(
-        (StateSet(2, [0]),),  # assumption: revisit 0 forever
-        (StateSet(2, []),),  # guarantee: unsatisfiable
-    )
-    # Parking at 1 breaks the assumption; both states can reach 1.
-    assert helpers.frozen(solve_gr1(g, spec).winning) == {0, 1}
+    # Assumption: revisit 0 forever, so its complement is {1}; the
+    # guarantee is unsatisfiable. Parking at 1 breaks the assumption, and
+    # both states can reach 1.
+    assert gr1_winning(g, [mask(2, 1)], [mask(2)]) == {0, 1}
 
 
 def test_gr1_universe_mismatch(g1_game):
-    spec = GR1Spec((), (StateSet(3, [0]),))
-    with pytest.raises(ValidationError):
-        solve_gr1(g1_game, spec)
+    # A block one state wider than the graph.
+    with pytest.raises(ValueError, match="set universe does not match game"):
+        solve_stable_conjunction(g1_game, [np.zeros((0, 3), dtype=bool)], [mask(2, 0)])
 
 
-def test_gr1_rejects_invalid_graph():
-    g = helpers.build_game(2, [0, 0], [(0, 1)])
-    with pytest.raises(ValidationError):
-        solve_gr1(g, GR1Spec((), (StateSet(2, [0]),)))
+def test_gr1_needs_one_block_per_guarantee():
+    # A guarantee without its block would be dropped from the conjunction.
+    g = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 1), (2, 2)])
+    no_assumptions = np.zeros((0, 3), dtype=bool)
+    with pytest.raises(ValueError, match="2 exit sets for 1 persistence blocks"):
+        solve_stable_conjunction(g, [no_assumptions], [mask(3, 1), mask(3, 2)])
 
 
 def test_gr1_warm_matches_cold():
+    # Random assumptions and guarantees, overlapping one another: a shape
+    # of objective that no embedding makes.
     for seed in range(6):
-        game, spec = gen_random_game(25, 2, [2, 2], 2.0, seed)
-        gr1 = embed(game, spec).spec()
-        cold = solve_gr1(game, gr1)
-        warm = solve_gr1(game, gr1, warm=True)
-        assert warm.winning == cold.winning
+        game, _ = gen_random_game(25, 2, [2, 2], 2.0, seed)
+        rng = np.random.default_rng(seed)
+        avoid, guarantees = rng.random((3, game.n)) < 0.2, rng.random((2, game.n)) < 0.3
+        assert gr1_winning(game, avoid, guarantees, warm=True) == gr1_winning(
+            game, avoid, guarantees
+        )

@@ -1,7 +1,6 @@
 """Seeded property test on small games: the direct solver, the naive
-reference, the embedded GR(1) solver, the generic GR(1) solver on the
-embedded spec and brute-force enumeration agree, cold and warm, and
-extracted strategies check."""
+reference, the embedded GR(1) solver and brute-force enumeration agree,
+cold and warm, and extracted strategies check."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from mtgames.errors import BoundExceeded
-from mtgames.gr1 import embed, solve_gr1, solve_gr1_emb
+from mtgames.gr1 import solve_gr1_emb
 from mtgames.solver import SolveOptions, solve_mt, solve_mt_reference
 from mtgames.specs import ModeSpec, MTSpec
 from mtgames.strategy import (
@@ -78,16 +77,12 @@ def test_all_solvers_agree(instance):
         pass
     else:
         assert helpers.frozen(by_enumeration) == expected
-    generic_spec = embed(game, spec).spec()
     for warm in (False, True):
         options = SolveOptions(warm=warm)
         direct = solve_mt(game, spec, options)
         emb = solve_gr1_emb(game, spec, options)
-        generic = solve_gr1(game, generic_spec, warm=warm)
         assert helpers.frozen(direct.winning) == expected
         assert helpers.frozen(emb.winning) == expected
-        assert helpers.frozen(generic.winning) == expected
-        assert emb.stats.pre_count == generic.stats.pre_count
         if (direct.bound.mode_index_of()[direct.winning.bits] >= 0).all():
             strategy = extract_strategy(game, spec, direct)
             assert check_strategy(game, spec, strategy, direct.winning).ok

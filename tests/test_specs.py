@@ -14,9 +14,7 @@ from mtgames.errors import (
     SpecParseError,
     UnboundProposition,
 )
-from mtgames.sets import StateSet
 from mtgames.specs import (
-    GR1Spec,
     LassoWord,
     ModeSpec,
     MTSpec,
@@ -57,15 +55,6 @@ def test_mt_spec_validation():
     assert spec.target_counts == (2, 1)
     assert spec.sum_targets == 3
     assert spec.max_targets == 2
-
-
-def test_gr1_spec_validation():
-    with pytest.raises(SpecError):
-        GR1Spec((), ())
-    with pytest.raises(SpecError):
-        GR1Spec((StateSet.empty(2),), (StateSet.empty(3),))
-    spec = GR1Spec((), (StateSet.full(2),))
-    assert spec.guarantees[0].universe == 2
 
 
 def test_lasso_word_validation():
