@@ -388,6 +388,13 @@ def solve_stable_conjunction(
     m = len(persist_blocks)
     if len(exit_masks) != m:
         raise ValueError(f"{len(exit_masks)} exit sets for {m} persistence blocks")
+    for block, exits in zip(persist_blocks, exit_masks):
+        # An integer mask would be combined with the boolean ones by value.
+        if np.asarray(block).dtype != bool or np.asarray(exits).dtype != bool:
+            raise ValueError("persistence blocks and exit sets must be boolean masks")
+        # solve_persistence_reach checks the block's width.
+        if np.shape(exits) != (game.n,):
+            raise ValueError("set universe does not match game")
     engine = FixpointEngine(game)
     stats = engine.stats
     seeds: list[list[list[np.ndarray]] | None] = [None] * m

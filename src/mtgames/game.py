@@ -45,7 +45,6 @@ Sections appear in that order. Proposition names match
 from __future__ import annotations
 
 import re
-import string
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,9 +69,6 @@ MAX_STATES = 10_000_000
 # Largest expected edge count (states times density) the random
 # generators accept, checked before any array is drawn.
 MAX_EDGES = 10 * MAX_STATES
-# Longest proposition name the array reader of load_game takes; a file
-# with a longer one goes through the line parser.
-_MAX_NAME_BYTES = 32
 # Most edges a graph indexes with int32; a graph with more uses int64.
 _MAX_INT32_EDGES = np.iinfo(np.int32).max
 # Edge count above which a graph is edge_bound: its Pre costs about its
@@ -559,6 +555,16 @@ def _edge_issues(n: int, src: np.ndarray, dst: np.ndarray) -> list[str]:
 
 
 _SECTIONS = ("states", "owner", "edge", "label")
+# Per section after the first: its line's shape, what the line's second and
+# third tokens hold, and the errors of values out of range.
+_LINES = (
+    None,
+    ("expected 'owner <state> <0|1>'", "state", "owner",
+     "state {} out of range", "owner must be 0 or 1, got {}"),
+    ("expected 'edge <from> <to>'", "source state", "target state",
+     "edge source {} out of range", "edge target {} out of range"),
+    ("expected 'label <state> <prop> [...]'", "state", None, "state {} out of range", None),
+)
 
 
 def load_game(text: str) -> GameGraph:
@@ -569,194 +575,114 @@ def load_game(text: str) -> GameGraph:
     :class:`ValidationError` listing structural issues (totality,
     duplicate edges).
 
-    Text in :func:`serialize_game`'s shape is read as arrays, and the
-    edge issues of such a file are worded from its arrays; any other
-    text, and every file that fails another check, goes through the line
-    parser, which gives the same graph or words the error.
+    The text is read as arrays (:func:`tokens.split`). Each rule of a line
+    is a mask over the lines, and the earliest line that breaks one is
+    worded (:func:`tokens.raise_first`).
     """
-    game = _load_arrays(text)
-    return game if game is not None else _load_game_lines(text)
-
-
-def _load_arrays(text: str) -> GameGraph | None:
-    """The graph of a valid game file in :func:`serialize_game`'s shape:
-    a ``states`` line, n ``owner`` lines, the ``edge`` lines and then the
-    ``label`` lines, with 1 to 8 digit integers. None for any other text,
-    and for a file the line parser would reject for another reason than
-    its edge issues, which raise its :class:`ValidationError`."""
     tok = tokens.split(text)
-    head = None if tok is None else tok.fields(slice(0, 1), b"states", 1)
-    if head is None or head[0, 0] > MAX_STATES or head[0, 0] >= tok.per_line.size:
-        return None
-    n = int(head[0, 0])
-    first = tok.first[1:-1]
-    m = int(np.count_nonzero(tok.buf[tok.start[first[n:]]] == ord("e")))
-    owners = tok.fields(slice(1, n + 1), b"owner", 2)
-    edges = tok.fields(slice(n + 1, n + 1 + m), b"edge", 2)
-    labels = first[n + m :]
-    if (
-        owners is None
-        or edges is None
-        or np.any(tok.per_line[n + 1 + m :] < 3)
-        or not tok.are(labels, b"label")
-    ):
-        return None
-    label_state = tok.ints(labels + 1)
-    (state, owner), (src, dst) = owners.T, edges.T
-    if label_state is None or any(np.any(a >= n) for a in (state, edges, label_state)):
-        return None
-    owned = np.zeros(n, dtype=bool)
-    owned[state] = True
-    if not owned.all() or np.any(owner > PLAYER1):
-        return None
-    owner_of = np.empty(n, dtype=np.int8)
-    owner_of[state] = owner
-    props = _label_arrays(tok, labels, label_state)
-    if props is None:
-        return None
-    game = GameGraph(n, owner_of, (src, dst), props)
-    if game.num_edges != m or not game._outdeg.all():
-        raise ValidationError("; ".join(_edge_issues(n, src, dst)))
-    return game
-
-
-# The bytes a label section may hold: those of names and states, spaces
-# and newlines.
-_LABEL_BYTE = np.zeros(256, dtype=bool)
-_LABEL_BYTE[np.frombuffer(f"_ \n{string.ascii_letters}{string.digits}".encode(), np.uint8)] = True
-
-
-def _label_arrays(
-    tok: tokens.Tokens, first: np.ndarray, state: np.ndarray
-) -> dict[str, np.ndarray] | None:
-    """Proposition name to labelled states, in order of first mention, of
-    the label lines that open at tokens ``first`` and label ``state``;
-    None if a name is not a proposition name."""
-    if not first.size:
-        return {}
-    at = tok.start[first[0]]
-    body = tok.buf[at:]
-    if not np.all(_LABEL_BYTE[body]):
-        return None
-    # The names are each label line's tokens from the third on; none may
-    # open with a digit, the only name bytes at or below "9".
-    is_name = np.ones(tok.start.size - first[0], dtype=bool)
-    is_name[first - first[0]] = is_name[first + 1 - first[0]] = False
-    name_tok = np.flatnonzero(is_name) + first[0]
-    name_at, length = tok.start[name_tok] - at, tok.length[name_tok]
-    if np.any(body[name_at] <= ord("9")):
-        return None
-    # Each name as a fixed-width byte string, so that one sort numbers the
-    # distinct names.
-    width = int(length.max())
-    if width > _MAX_NAME_BYTES:
-        return None
-    padded = np.concatenate((body, np.zeros(width, dtype=np.uint8)))
-    window = sliding_window_view(padded, width)[name_at]
-    key = np.where(np.arange(width) < length[:, None], window, 0).view(f"S{width}")[:, 0]
-    distinct, mention, code = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(mention)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    code = rank[code]
-    names = [distinct[i].decode("ascii") for i in order.tolist()]
-    line = np.repeat(np.arange(first.size), np.diff(first, append=tok.start.size) - 2)
-    labelled = state[line[np.argsort(code, kind="stable")]]
-    return dict(zip(names, np.split(labelled, np.cumsum(np.bincount(code))[:-1])))
-
-
-def _load_game_lines(text: str) -> GameGraph:
-    """:func:`load_game` for any text, one line at a time."""
-    n: int | None = None
-    owners: list[int | None] = []
-    edges: list[tuple[int, int]] = []
-    labels: dict[str, list[int]] = {}
-    stage = 0
-
-    def advance(section: str, lineno: int) -> None:
-        nonlocal stage
-        want = _SECTIONS.index(section)
-        if want < stage:
-            raise GameParseError(
-                f"'{section}' line after '{_SECTIONS[stage]}' section", lineno
-            )
-        stage = want
-
-    def parse_int(tok: str, what: str, lineno: int) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise GameParseError(f"expected integer {what}, got {tok!r}", lineno)
-
-    for lineno, parts in tokens.split_lines(text):
-        kind = parts[0]
-        if kind == "states":
-            if n is not None:
-                raise GameParseError("duplicate 'states' line", lineno)
-            if len(parts) != 2:
-                raise GameParseError("expected 'states <n>'", lineno)
-            n = parse_int(parts[1], "state count", lineno)
-            if n < 0:
-                raise GameParseError("state count must be nonnegative", lineno)
-            if n > MAX_STATES:
-                raise BoundExceeded(
-                    f"line {lineno}: state count {n} exceeds the bound {MAX_STATES}"
-                )
-            owners = [None] * n
-            continue
-        if n is None:
-            raise GameParseError("first line must be 'states <n>'", lineno)
-        if kind == "owner":
-            advance("owner", lineno)
-            if len(parts) != 3:
-                raise GameParseError("expected 'owner <state> <0|1>'", lineno)
-            v = parse_int(parts[1], "state", lineno)
-            o = parse_int(parts[2], "owner", lineno)
-            if not 0 <= v < n:
-                raise GameParseError(f"state {v} out of range", lineno)
-            if o not in (0, 1):
-                raise GameParseError(f"owner must be 0 or 1, got {o}", lineno)
-            if owners[v] is not None:
-                raise GameParseError(f"duplicate owner for state {v}", lineno)
-            owners[v] = o
-        elif kind == "edge":
-            advance("edge", lineno)
-            if len(parts) != 3:
-                raise GameParseError("expected 'edge <from> <to>'", lineno)
-            u = parse_int(parts[1], "source state", lineno)
-            w = parse_int(parts[2], "target state", lineno)
-            if not 0 <= u < n:
-                raise GameParseError(f"edge source {u} out of range", lineno)
-            if not 0 <= w < n:
-                raise GameParseError(f"edge target {w} out of range", lineno)
-            edges.append((u, w))
-        elif kind == "label":
-            advance("label", lineno)
-            if len(parts) < 3:
-                raise GameParseError("expected 'label <state> <prop> [...]'", lineno)
-            v = parse_int(parts[1], "state", lineno)
-            if not 0 <= v < n:
-                raise GameParseError(f"state {v} out of range", lineno)
-            for name in parts[2:]:
-                if not PROP_NAME_RE.match(name):
-                    raise GameParseError(f"invalid proposition name {name!r}", lineno)
-                labels.setdefault(name, []).append(v)
-        else:
-            raise GameParseError(f"unknown directive {kind!r}", lineno)
-
-    if n is None:
+    per, first = tok.per_line, tok.first[:-1]
+    if not per.size:
         raise GameParseError("missing 'states' line")
-    missing = [v for v, o in enumerate(owners) if o is None]
-    if missing:
-        raise GameParseError(f"missing owner for state {missing[0]}")
+    n = _state_count(tok)
+    kind = tok.kinds(first, _SECTIONS)
+    owner, edge, label = (kind == k for k in (1, 2, 3))
+    # The lines of their section's length. Their second token is an
+    # integer, and so is their third but on a label line.
+    shaped = np.where(label, per >= 3, per == 3) & (kind > 0)
+    pair = shaped & ~label
+    (a,), (a_bad,) = tok.ints(np.flatnonzero(shaped), [1])
+    (b,), (b_bad,) = tok.ints(np.flatnonzero(pair), [2])
+    a_out = shaped & ((a < 0) | (a >= n))
+    b_out = pair & ((b < 0) | (b > np.where(owner, PLAYER1, n - 1)))
+    # Each state's owner lines after its first.
+    states = np.flatnonzero(owner & shaped & ~a_bad & ~a_out)
+    v = a[states].astype(np.int64)
+    again = np.zeros(per.size, dtype=bool)
+    again[np.delete(states, np.unique(v, return_index=True)[1])] = True
+    lines = np.flatnonzero(label & shaped)
+    name_tok, code, names = _names(tok, lines)
+    # Each line's first name that is no proposition name, or -1.
+    wrong = name_tok[~np.array([PROP_NAME_RE.match(s) is not None for s in names], bool)[code]]
+    line, once = np.unique(np.searchsorted(tok.first, wrong, side="right") - 1, return_index=True)
+    misnamed = np.full(per.size, -1, dtype=tok.first.dtype)
+    misnamed[line] = wrong[once]
+    # The lines of a section that an earlier line has closed.
+    after = np.maximum.accumulate(np.append(np.int8(0), kind[:-1]))
+    late = (kind > 0) & (kind < after)
 
-    src, dst = _edge_arrays(edges)
-    game = GameGraph(n, owners, (src, dst), labels)
-    # Targets were range-checked above, so the only possible issues are a
-    # state without successor and duplicates, which the graph drops.
+    def quoted(i: int, j: int) -> str:
+        return repr(tok.word(first[i] + j))
+
+    tokens.raise_first(
+        [
+            ((kind == 0) & (np.arange(per.size) > 0), lambda i: "duplicate 'states' line"),
+            (kind < 0, lambda i: f"unknown directive {quoted(i, 0)}"),
+            (late, lambda i: f"'{_SECTIONS[kind[i]]}' line after '{_SECTIONS[after[i]]}' section"),
+            ((kind > 0) & ~shaped, lambda i: _LINES[kind[i]][0]),
+            (a_bad, lambda i: f"expected integer {_LINES[kind[i]][1]}, got {quoted(i, 1)}"),
+            (b_bad, lambda i: f"expected integer {_LINES[kind[i]][2]}, got {quoted(i, 2)}"),
+            (a_out, lambda i: _LINES[kind[i]][3].format(a[i])),
+            (b_out, lambda i: _LINES[kind[i]][4].format(b[i])),
+            (again, lambda i: f"duplicate owner for state {a[i]}"),
+            (misnamed >= 0, lambda i: f"invalid proposition name {tok.word(misnamed[i])!r}"),
+        ],
+        tok,
+    )
+    owner_of = np.full(n, -1, dtype=np.int8)
+    owner_of[v] = b[states]
+    if np.any(owner_of < 0):
+        raise GameParseError(f"missing owner for state {int(np.argmax(owner_of < 0))}")
+    src, dst = a[edge].astype(np.int64), b[edge].astype(np.int64)
+    labelled = np.repeat(a[lines], per[lines] - 2).astype(np.int64)
+    labelled = labelled[np.argsort(code, kind="stable")]
+    props = dict(zip(names, np.split(labelled, np.cumsum(np.bincount(code))[:-1])))
+    del tok  # the token table, no longer needed, is freed before the graph is built
+    game = GameGraph(n, owner_of, (src, dst), props)
+    # The only issues left are states without successor and duplicate
+    # edges, which the graph drops.
     if game.num_edges != src.size or not game._outdeg.all():
         raise ValidationError("; ".join(_edge_issues(n, src, dst)))
     return game
+
+
+def _state_count(tok: tokens.Tokens) -> int:
+    """The state count that the first line of ``tok`` declares."""
+    line = tok.lineno(0)
+    if tok.kinds(tok.first[:1], ["states"])[0]:
+        raise GameParseError("first line must be 'states <n>'", line)
+    if tok.per_line[0] != 2:
+        raise GameParseError("expected 'states <n>'", line)
+    (count,), (bad,) = tok.ints(slice(1), [1])
+    if bad[0]:
+        raise GameParseError(f"expected integer state count, got {tok.word(1)!r}", line)
+    n = int(count[0])
+    if n < 0:
+        raise GameParseError("state count must be nonnegative", line)
+    if n > MAX_STATES:
+        raise BoundExceeded(f"line {line}: state count {n} exceeds the bound {MAX_STATES}")
+    return n
+
+
+def _names(tok: tokens.Tokens, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The name tokens of the label lines ``lines``; a code for each, the
+    names numbered in order of first mention; and the names in that order."""
+    count = tok.per_line[lines] - 2
+    name_tok = np.repeat(tok.first[lines] + 2 + count - np.cumsum(count), count)
+    name_tok += np.arange(name_tok.size)
+    at, length = tok.start[name_tok], tok.length[name_tok]
+    code = np.empty(name_tok.size, dtype=np.int64)
+    mention: list[int] = []
+    # The names of each length as fixed-width byte strings, so that one sort
+    # numbers them and no name is padded. Two names share bytes only when
+    # both hold a code point above 255, which no proposition name may.
+    for width in np.unique(length).tolist():
+        sel = np.flatnonzero(length == width)
+        key = sliding_window_view(tok.buf, width)[at[sel]].view(f"S{width}")[:, 0]
+        _, once, inverse = np.unique(key, return_index=True, return_inverse=True)
+        code[sel] = inverse.ravel() + len(mention)
+        mention += sel[once].tolist()
+    names = [tok.word(name_tok[m]) for m in sorted(mention)]
+    return name_tok, np.argsort(np.argsort(mention))[code], names
 
 
 def serialize_game(game: GameGraph) -> str:

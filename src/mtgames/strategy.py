@@ -18,7 +18,6 @@ that mode's targets.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import tokens
-from .errors import BoundExceeded, GameParseError, NonExhaustiveModes
+from .errors import BoundExceeded, NonExhaustiveModes
 from .game import PLAYER0, GameGraph
 from .sets import StateSet
 from .solver import MTSolveResult
@@ -402,14 +401,6 @@ def enumerate_memoryless_winning(
 # ---------------------------------------------------------------------------
 # File formats
 
-_MOVE_RE = re.compile(r"move\s+(\d+)\s+(\d+)\s*$")
-_HEADER_RE = re.compile(r"#\s*winning\s+(\d+)\s+states\s*$")
-# The header lines as format_strategy and format_winning write them, which
-# the array readers require.
-_WRITTEN_STRATEGY_HEAD = re.compile(r"# winning ([0-9]{1,8}) states")
-_WRITTEN_WINNING_HEAD = re.compile(r"# [0-9]+ states")
-
-
 def format_strategy(strategy: Strategy) -> str:
     lines = []
     if strategy.winning_size is not None:
@@ -422,42 +413,56 @@ def format_strategy(strategy: Strategy) -> str:
 def parse_strategy(text: str, n: int | None = None) -> Strategy:
     """Read a strategy file; with ``n``, reject moves for states >= n.
 
-    A file in :func:`format_strategy`'s shape is read as arrays, any other
-    through the line parser, which also words every error.
+    Each line is ``move <state> <successor>`` with decimal integers, or a
+    comment, which opens with ``#``; the last comment that reads ``#
+    winning <N> states`` gives the winning size.
     """
-    tok = tokens.split(text)
-    head = tok and _WRITTEN_STRATEGY_HEAD.fullmatch(text[: text.find("\n")])
-    moves = tok.fields(slice(1, None), b"move", 2) if head else None
-    if moves is not None:
-        state, choice = moves.T
-        if (n is None or not np.any(state >= n)) and np.unique(state).size == state.size:
-            return Strategy(dict(zip(state.tolist(), choice.tolist())), int(head[1]))
-    return _parse_strategy_lines(text, n)
-
-
-def _parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
-    """:func:`parse_strategy` for any text, one line at a time."""
-    choices: dict[int, int] = {}
-    winning_size = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
-            if m:
-                winning_size = int(m.group(1))
-            continue
-        m = _MOVE_RE.match(line)
-        if not m:
-            raise GameParseError("expected 'move <state> <successor>'", line=lineno)
-        v, w = int(m.group(1)), int(m.group(2))
-        if n is not None and v >= n:
-            raise GameParseError(f"move for state {v} out of range", line=lineno)
-        if v in choices:
-            raise GameParseError(f"duplicate move for state {v}", line=lineno)
-        choices[v] = w
-    return Strategy(choices, winning_size)
+    tok = tokens.split(text, comments=False)
+    first, per = tok.first[:-1], tok.per_line
+    comment = tok.buf[tok.start[first]] == ord("#")
+    moves = np.flatnonzero(~comment & (per == 3))
+    moves = moves[tok.kinds(first[moves], ["move"]) == 0]
+    (state, choice), (state_bad, choice_bad) = tok.ints(moves, [1, 2], decimal=True)
+    broken = ~comment
+    broken[moves] = False
+    # The first token of a line that int() refuses though it is decimal, as
+    # one beyond its digit limit.
+    refused = {}
+    for i in np.flatnonzero(state_bad | choice_bad).tolist():
+        words = [tok.word(first[i] + 1), tok.word(first[i] + 2)]
+        if words[0].isdecimal() and words[1].isdecimal():
+            refused[i] = words[0] if state_bad[i] else words[1]
+        else:
+            broken[i] = True
+    # The winning size: the last comment that reads "winning N states" once
+    # its "#" is cut.
+    size = None
+    for i in np.flatnonzero(comment & (per >= 3) & (per <= 4)).tolist():
+        words = [tok.word(t) for t in range(tok.first[i], tok.first[i + 1])]
+        words[:1] = words[0][1:].split()
+        if len(words) == 3 and words[::2] == ["winning", "states"] and words[1].isdecimal():
+            try:
+                size = int(words[1])
+            except ValueError:
+                refused[i] = words[1]
+    choices = dict(zip(state[moves].tolist(), choice[moves].tolist()))
+    unread, outside, again = np.zeros((3, per.size), dtype=bool)
+    unread[list(refused)] = True
+    outside[moves] = n is not None and state[moves] >= n
+    if len(choices) < moves.size:
+        # Each state's move lines after its first.
+        again[np.delete(moves, np.unique(state[moves], return_index=True)[1])] = True
+    tokens.raise_first(
+        [
+            (broken, lambda i: "expected 'move <state> <successor>'"),
+            # int() raises again the ValueError it raised on the token.
+            (unread, lambda i: str(int(refused[i]))),
+            (outside, lambda i: f"move for state {state[i]} out of range"),
+            (again, lambda i: f"duplicate move for state {state[i]}"),
+        ],
+        tok,
+    )
+    return Strategy(choices, size)
 
 
 def format_winning(winning: StateSet) -> str:
@@ -467,30 +472,16 @@ def format_winning(winning: StateSet) -> str:
 
 
 def parse_winning(text: str, n: int) -> StateSet:
-    """Read a winning-set file of states below ``n``.
-
-    A file in :func:`format_winning`'s shape is read as arrays, any other
-    through the line parser, which also words every error.
-    """
+    """Read a winning-set file of states below ``n``, one a line."""
     tok = tokens.split(text)
-    head = tok and _WRITTEN_WINNING_HEAD.fullmatch(text[: text.find("\n")])
-    states = tok.fields(slice(1, None), b"", 1) if head else None
-    if states is not None and not np.any(states >= n):
-        mask = np.zeros(n, dtype=bool)
-        mask[states.ravel()] = True
-        return StateSet.from_mask(mask)
-    return _parse_winning_lines(text, n)
-
-
-def _parse_winning_lines(text: str, n: int) -> StateSet:
-    """:func:`parse_winning` for any text, one line at a time."""
-    members = []
-    for lineno, parts in tokens.split_lines(text):
-        try:
-            (v,) = map(int, parts)
-        except ValueError:
-            raise GameParseError("expected one state index per line", line=lineno)
-        if not 0 <= v < n:
-            raise GameParseError(f"state {v} out of range", line=lineno)
-        members.append(v)
-    return StateSet(n, members)
+    (state,), (bad,) = tok.ints(slice(None), [0])
+    tokens.raise_first(
+        [
+            (bad | (tok.per_line != 1), lambda i: "expected one state index per line"),
+            ((state < 0) | (state >= n), lambda i: f"state {state[i]} out of range"),
+        ],
+        tok,
+    )
+    mask = np.zeros(n, dtype=bool)
+    mask[state] = True
+    return StateSet.from_mask(mask)

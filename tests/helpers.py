@@ -7,14 +7,25 @@ optimized code paths, so tests cross-check rather than echo.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from mtgames.errors import BoundExceeded, NonExhaustiveModes
-from mtgames.game import PLAYER0, PLAYER1, GameGraph
+from mtgames import tokens
+from mtgames.errors import BoundExceeded, GameParseError, NonExhaustiveModes, ValidationError
+from mtgames.game import (
+    _SECTIONS,
+    MAX_STATES,
+    PLAYER0,
+    PLAYER1,
+    PROP_NAME_RE,
+    GameGraph,
+    _edge_arrays,
+    _edge_issues,
+)
 from mtgames.sets import StateSet
 from mtgames.specs import ModeSpec, MTSpec, bind_spec, lasso_satisfies
 from mtgames.strategy import CHECK_MAX_STATES, CheckVerdict, Strategy
@@ -803,3 +814,146 @@ def recorded_trace_oracle(n: int, rows, bases, x_iterates) -> ModeTraceLoop:
     """The oracle's ranks of a ``solve_persistence_reach`` result."""
     ys, xs = full_iterates(n, rows, bases, x_iterates)
     return ModeTraceLoop.from_iterates(ys, xs, len(rows))
+
+
+# ---------------------------------------------------------------------------
+# Line parsers of the game, strategy and winning-set files: the oracles of
+# load_game, parse_strategy and parse_winning, which read a file as arrays.
+# Each reads one line at a time with Python's own str methods and regular
+# expressions, and stops at the first line it cannot take.
+
+_MOVE_RE = re.compile(r"move\s+(\d+)\s+(\d+)\s*$")
+_HEADER_RE = re.compile(r"#\s*winning\s+(\d+)\s+states\s*$")
+
+
+def load_game_lines(text: str) -> GameGraph:
+    """``load_game``, one line at a time."""
+    n: int | None = None
+    owners: list[int | None] = []
+    edges: list[tuple[int, int]] = []
+    labels: dict[str, list[int]] = {}
+    stage = 0
+
+    def advance(section: str, lineno: int) -> None:
+        nonlocal stage
+        want = _SECTIONS.index(section)
+        if want < stage:
+            raise GameParseError(
+                f"'{section}' line after '{_SECTIONS[stage]}' section", lineno
+            )
+        stage = want
+
+    def parse_int(tok: str, what: str, lineno: int) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise GameParseError(f"expected integer {what}, got {tok!r}", lineno)
+
+    for lineno, parts in tokens.split_lines(text):
+        kind = parts[0]
+        if kind == "states":
+            if n is not None:
+                raise GameParseError("duplicate 'states' line", lineno)
+            if len(parts) != 2:
+                raise GameParseError("expected 'states <n>'", lineno)
+            n = parse_int(parts[1], "state count", lineno)
+            if n < 0:
+                raise GameParseError("state count must be nonnegative", lineno)
+            if n > MAX_STATES:
+                raise BoundExceeded(
+                    f"line {lineno}: state count {n} exceeds the bound {MAX_STATES}"
+                )
+            owners = [None] * n
+            continue
+        if n is None:
+            raise GameParseError("first line must be 'states <n>'", lineno)
+        if kind == "owner":
+            advance("owner", lineno)
+            if len(parts) != 3:
+                raise GameParseError("expected 'owner <state> <0|1>'", lineno)
+            v = parse_int(parts[1], "state", lineno)
+            o = parse_int(parts[2], "owner", lineno)
+            if not 0 <= v < n:
+                raise GameParseError(f"state {v} out of range", lineno)
+            if o not in (0, 1):
+                raise GameParseError(f"owner must be 0 or 1, got {o}", lineno)
+            if owners[v] is not None:
+                raise GameParseError(f"duplicate owner for state {v}", lineno)
+            owners[v] = o
+        elif kind == "edge":
+            advance("edge", lineno)
+            if len(parts) != 3:
+                raise GameParseError("expected 'edge <from> <to>'", lineno)
+            u = parse_int(parts[1], "source state", lineno)
+            w = parse_int(parts[2], "target state", lineno)
+            if not 0 <= u < n:
+                raise GameParseError(f"edge source {u} out of range", lineno)
+            if not 0 <= w < n:
+                raise GameParseError(f"edge target {w} out of range", lineno)
+            edges.append((u, w))
+        elif kind == "label":
+            advance("label", lineno)
+            if len(parts) < 3:
+                raise GameParseError("expected 'label <state> <prop> [...]'", lineno)
+            v = parse_int(parts[1], "state", lineno)
+            if not 0 <= v < n:
+                raise GameParseError(f"state {v} out of range", lineno)
+            for name in parts[2:]:
+                if not PROP_NAME_RE.match(name):
+                    raise GameParseError(f"invalid proposition name {name!r}", lineno)
+                labels.setdefault(name, []).append(v)
+        else:
+            raise GameParseError(f"unknown directive {kind!r}", lineno)
+
+    if n is None:
+        raise GameParseError("missing 'states' line")
+    missing = [v for v, o in enumerate(owners) if o is None]
+    if missing:
+        raise GameParseError(f"missing owner for state {missing[0]}")
+
+    src, dst = _edge_arrays(edges)
+    game = GameGraph(n, owners, (src, dst), labels)
+    # Targets were range-checked above, so the only possible issues are a
+    # state without successor and duplicates, which the graph drops.
+    if game.num_edges != src.size or not game._outdeg.all():
+        raise ValidationError("; ".join(_edge_issues(n, src, dst)))
+    return game
+
+
+def parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
+    """``parse_strategy``, one line at a time."""
+    choices: dict[int, int] = {}
+    winning_size = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if m:
+                winning_size = int(m.group(1))
+            continue
+        m = _MOVE_RE.match(line)
+        if not m:
+            raise GameParseError("expected 'move <state> <successor>'", line=lineno)
+        v, w = int(m.group(1)), int(m.group(2))
+        if n is not None and v >= n:
+            raise GameParseError(f"move for state {v} out of range", line=lineno)
+        if v in choices:
+            raise GameParseError(f"duplicate move for state {v}", line=lineno)
+        choices[v] = w
+    return Strategy(choices, winning_size)
+
+
+def parse_winning_lines(text: str, n: int) -> StateSet:
+    """``parse_winning``, one line at a time."""
+    members = []
+    for lineno, parts in tokens.split_lines(text):
+        try:
+            (v,) = map(int, parts)
+        except ValueError:
+            raise GameParseError("expected one state index per line", line=lineno)
+        if not 0 <= v < n:
+            raise GameParseError(f"state {v} out of range", line=lineno)
+        members.append(v)
+    return StateSet(n, members)

@@ -177,6 +177,23 @@ def test_gr1_universe_mismatch(g1_game):
         solve_stable_conjunction(g1_game, [np.zeros((0, 3), dtype=bool)], [mask(2, 0)])
 
 
+@pytest.mark.parametrize(
+    "block, exits, message",
+    [
+        pytest.param(np.zeros((1, 2), dtype=bool), np.array([1, 0]), "boolean", id="int-exit-set"),
+        pytest.param(np.zeros((1, 2), dtype=bool), mask(3, 0), "universe", id="wide-exit-set"),
+        pytest.param(np.array([[0, 1]]), mask(2, 0), "boolean", id="int-block"),
+        pytest.param(np.zeros((1, 3), dtype=bool), mask(2, 0), "universe", id="wide-block"),
+    ],
+)
+def test_gr1_rejects_malformed_blocks_and_exit_sets(block, exits, message):
+    # On a 2-state graph; an int64 or a wide exit set used to reach numpy
+    # as a UFuncTypeError or a broadcast error.
+    g = helpers.build_game(2, [0, 0], [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=message):
+        solve_stable_conjunction(g, [block], [exits])
+
+
 def test_gr1_needs_one_block_per_guarantee():
     # A guarantee without its block would be dropped from the conjunction.
     g = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 1), (2, 2)])

@@ -1,20 +1,20 @@
-"""The array readers of game, strategy and winning-set files.
+"""The readers of game, strategy and winning-set files.
 
-Files in the shape that serialize_game, format_strategy and format_winning
-write are read as arrays; every other text goes through the line parsers.
-Both must give the same result, or the same error, on every text, so a
-seeded fuzz mutates written files and compares ``load_game``,
-``parse_strategy`` and ``parse_winning`` with the line parsers called
-directly.
+``load_game``, ``parse_strategy`` and ``parse_winning`` read every text as
+arrays. They must give the result, or the error, of the line parsers in
+``helpers``, which read one line at a time with Python's own str methods,
+so a seeded fuzz mutates written files and compares the two on each.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mtgames import game as game_mod
-from mtgames import strategy as strategy_mod
+from helpers import load_game_lines, parse_strategy_lines, parse_winning_lines
+from mtgames import tokens
 from mtgames.benchgen import (
     RobotWorld,
     gen_cleaning_robot,
@@ -23,27 +23,27 @@ from mtgames.benchgen import (
     scaled_rooms,
 )
 from mtgames.errors import ValidationError
-from mtgames.game import (
-    GameGraph,
-    _load_arrays,
-    _load_game_lines,
-    load_game,
-    serialize_game,
-)
+from mtgames.game import MAX_STATES, GameGraph, load_game, serialize_game
 from mtgames.sets import StateSet
 from mtgames.strategy import (
     Strategy,
-    _parse_strategy_lines,
-    _parse_winning_lines,
     format_strategy,
     format_winning,
     parse_strategy,
     parse_winning,
 )
 
-# Replacement tokens of the fuzz; "n" stands for the state count. A vertical
-# tab ends a line for str.splitlines.
-TOKENS = ("-1", "n", str(2**64), "2**64", "01", "+1", "1_0", "٣", "x", "", "\x0b")
+# Whitespace other than a space: str.split() separates tokens at each, and
+# str.splitlines() ends a line at each but the tab, \x1f, \xa0 and \u3000.
+SPACES = ("\t", "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
+# Replacement tokens of the fuzz; "n" stands for the state count. int()
+# refuses a string of more than 4300 digits, and after "\r#c" the line
+# break that ends the comment is a second one.
+TOKENS = (
+    ("-1", "n", str(2**64), "2**64", "01", "+1", "1_0", "\u0663", "x", "", "1#c", "#c", "\r#c")
+    + ("N" * 40, str(MAX_STATES + 1), "9" * 5000)
+    + SPACES
+)
 
 
 def robot(side: int, rooms: int) -> GameGraph:
@@ -55,8 +55,6 @@ def no_labels() -> GameGraph:
 
 
 def fuzz_games() -> list[GameGraph]:
-    # A name longer than the array reader takes sends its file to the line
-    # parser.
     long_name = GameGraph(2, [0, 1], [(0, 1), (1, 0)], {"P" * 40: [0], "Q": [0, 1]})
     games = [GameGraph(0, [], []), no_labels(), long_name, robot(4, 2)]
     for seed, n in enumerate((1, 2, 5, 9, 17, 30)):
@@ -72,10 +70,11 @@ def mutate(text: str, n: int, rng: np.random.Generator) -> str:
     whitespace."""
     lines = text.split("\n")[:-1]
     for _ in range(int(rng.integers(1, 4))):
-        kind = int(rng.integers(0, 11))
+        kind = int(rng.integers(0, 13))
         if not lines:
             lines.append("")
-        i = int(rng.integers(0, len(lines)))
+        # The first line, as any other, and as often as all the others.
+        i = 0 if kind == 11 else int(rng.integers(0, len(lines)))
         line = lines[i]
         if kind == 0:
             del lines[i]
@@ -86,7 +85,7 @@ def mutate(text: str, n: int, rng: np.random.Generator) -> str:
             lines[i], lines[j] = lines[j], line
         elif kind == 3:
             lines[i] = line[: int(rng.integers(0, len(line) + 1))]
-        elif kind == 4:
+        elif kind in (4, 11):
             parts = line.split(" ")
             new = str(rng.choice(TOKENS))
             parts[int(rng.integers(0, len(parts)))] = str(n) if new == "n" else new
@@ -98,9 +97,14 @@ def mutate(text: str, n: int, rng: np.random.Generator) -> str:
         elif kind == 7:
             lines.insert(i, "")
         elif kind == 8:
+            # A CR before the newline: a CRLF line break.
             lines[i] = line + "\r"
         elif kind == 9:
-            lines[i] = line.replace(" ", "\t", 1)
+            lines[i] = line.replace(" ", str(rng.choice(SPACES)), 1)
+        elif kind == 12:
+            # A separator or "#" anywhere in the line.
+            at = int(rng.integers(0, len(line) + 1))
+            lines[i] = line[:at] + str(rng.choice(SPACES + ("#",))) + line[at:]
         else:
             lines[i] = line + "  "
     out = "\n".join(lines) + "\n"
@@ -132,25 +136,15 @@ def outcome(parse, *args):
 def test_load_game_equals_the_line_parser_on_mutated_files():
     games = fuzz_games()
     rng = np.random.default_rng(20240)
-    by_arrays = 0
     for case in range(2400):
         game = games[case % len(games)]
         text = serialize_game(game)
         if case >= len(games):
             text = mutate(text, game.n, rng)
-        expected = outcome(_load_game_lines, text)
-        assert outcome(load_game, text) == expected, (case, text)
-        try:
-            by_arrays += _load_arrays(text) is not None
-        except ValidationError:
-            by_arrays += 1
-    # The fuzz reaches the array path with files other than the originals
-    # (reordered owner, edge and label lines, leading zeros, and edge lines
-    # repeated or dropped, whose issues the array path words).
-    assert by_arrays > 2 * len(games)
+        assert outcome(load_game, text) == outcome(load_game_lines, text), (case, text)
 
 
-def test_edge_issues_of_a_written_file_are_worded_from_its_arrays(monkeypatch):
+def test_edge_issues_of_a_written_file_are_worded_from_its_arrays():
     lines = serialize_game(no_labels()).splitlines(keepends=True)
     edge = lines.index("edge 1 2\n")
     texts = (
@@ -158,16 +152,11 @@ def test_edge_issues_of_a_written_file_are_worded_from_its_arrays(monkeypatch):
         "".join(lines[: edge + 1] + lines[edge:]),
         "".join(lines[:edge] + lines[edge + 1 :]),
     )
-    expected = [outcome(_load_game_lines, text) for text in texts]
+    expected = [outcome(load_game_lines, text) for text in texts]
     assert [e[:2] for e in expected] == [
         (ValidationError, "state 1: duplicate edge to 2"),
         (ValidationError, "state 1: no successor"),
     ]
-
-    def refuse(text):
-        raise AssertionError("line parser called on a written file")
-
-    monkeypatch.setattr(game_mod, "_load_game_lines", refuse)
     assert [outcome(load_game, text) for text in texts] == expected
 
 
@@ -183,35 +172,20 @@ def written_strategies(rng: np.random.Generator) -> list[tuple[str, str, int]]:
     return files
 
 
-def test_strategy_and_winning_readers_equal_the_line_parsers_on_mutated_files(monkeypatch):
-    fallbacks = []
-
-    def counted(parse):
-        def run(*args):
-            fallbacks.append(parse)
-            return parse(*args)
-
-        return run
-
-    monkeypatch.setattr(strategy_mod, "_parse_strategy_lines", counted(_parse_strategy_lines))
-    monkeypatch.setattr(strategy_mod, "_parse_winning_lines", counted(_parse_winning_lines))
+def test_strategy_and_winning_readers_equal_the_line_parsers_on_mutated_files():
     rng = np.random.default_rng(7)
     files = written_strategies(rng)
-    cases = 2400
-    for case in range(cases):
+    for case in range(2400):
         strategy_text, winning_text, n = files[case % len(files)]
         if case >= len(files):
             strategy_text = mutate(strategy_text, n, rng)
             winning_text = mutate(winning_text, n, rng)
         for bound in (n, None):
-            expected = outcome(_parse_strategy_lines, strategy_text, bound)
+            expected = outcome(parse_strategy_lines, strategy_text, bound)
             got = outcome(parse_strategy, strategy_text, bound)
             assert got == expected, (case, strategy_text, bound)
-        expected = outcome(_parse_winning_lines, winning_text, n)
+        expected = outcome(parse_winning_lines, winning_text, n)
         assert outcome(parse_winning, winning_text, n) == expected, (case, winning_text)
-    # Both readers also take the array path on some mutated files.
-    assert 2 * cases - fallbacks.count(_parse_strategy_lines) > 2 * len(files)
-    assert cases - fallbacks.count(_parse_winning_lines) > len(files)
 
 
 @pytest.mark.parametrize(
@@ -231,23 +205,38 @@ def test_strategy_and_winning_readers_equal_the_line_parsers_on_mutated_files(mo
 def test_written_game_files_load_as_arrays(make):
     game = make()
     text = serialize_game(game)
-    loaded = _load_arrays(text)
-    assert loaded is not None
-    assert outcome(lambda: loaded) == outcome(_load_game_lines, text)
+    loaded = load_game(text)
+    assert outcome(lambda: loaded) == outcome(load_game_lines, text)
     assert loaded == game
 
 
-def test_written_strategy_and_winning_files_load_as_arrays(monkeypatch):
+def test_written_strategy_and_winning_files_load_as_arrays():
     files = [f for f in written_strategies(np.random.default_rng(3)) if f[0].startswith("#")]
-    expected = [
-        (outcome(_parse_strategy_lines, s, n), outcome(_parse_winning_lines, w, n))
-        for s, w, n in files
-    ]
-
-    def refuse(*args):
-        raise AssertionError("line parser called on a written file")
-
-    monkeypatch.setattr(strategy_mod, "_parse_strategy_lines", refuse)
-    monkeypatch.setattr(strategy_mod, "_parse_winning_lines", refuse)
-    for (s, w, n), want in zip(files, expected):
+    for s, w, n in files:
+        want = (outcome(parse_strategy_lines, s, n), outcome(parse_winning_lines, w, n))
         assert (outcome(parse_strategy, s, n), outcome(parse_winning, w, n)) == want
+
+
+def test_a_long_name_costs_its_own_length_once():
+    # One 1 MB name among 10**4 label lines: names padded to the longest
+    # would ask for 10 GB.
+    n = 10_000
+    labels = {"P" * 2**20: [n // 2], "Q": list(range(n))}
+    text = serialize_game(GameGraph(n, [0] * n, [(v, v) for v in range(n)], labels))
+    tracemalloc.start()
+    try:
+        game = load_game(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert game.props == ("Q", "P" * 2**20)
+    assert peak < 20 * len(text)
+
+
+def test_split_takes_the_whitespace_and_line_breaks_of_str():
+    # str.split() separates tokens at these code points, and
+    # str.splitlines() ends a line at those it names.
+    every = "".join(map(chr, range(0x3100)))
+    assert "".join(c for c in every if c.isspace()) == tokens._SPACES
+    assert "".join(c for c in every if len(f"a{c}b".splitlines()) == 2) == tokens._BREAKS
+    assert not any(chr(c).isspace() for c in range(0x3100, 0x110000))
