@@ -10,6 +10,7 @@ mismatch, 4 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import stat
@@ -368,15 +369,21 @@ def cmd_gen_series(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process: parsing leaves it as
+    it was, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="mtgames",
         description="Solve, compare, generate and check mode-target games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    warm_help = (
-        "seed each Y-step's inner fixed points from the same step of the "
-        "previous outer round"
+    warm = dict(
+        action=argparse.BooleanOptionalAction,
+        default=SolveOptions.warm,
+        help="seed each Y-step's inner fixed points from the same step of the "
+        "previous outer round (the default); --no-warm starts every inner "
+        "chain from every state, the plain algorithm and its Pre counts",
     )
 
     s = sub.add_parser("solve", help="solve one game against one objective")
@@ -384,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", nargs="?", help="spec file (or use --ltl)")
     s.add_argument("--ltl", metavar="FORMULA", help="inline objective formula")
     s.add_argument("--algo", choices=sorted(_SOLVERS), default="mt")
-    s.add_argument("--warm", action="store_true", help=warm_help)
+    s.add_argument("--warm", **warm)
     s.add_argument("--strategy", metavar="OUT", help="write extracted strategy (mt only)")
     s.add_argument("--winning", metavar="OUT", help="write the winning set")
     s.add_argument("--csv", metavar="OUT", help="write a one-row CSV")
@@ -398,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="instance sources: directories, .game files, or path prefixes",
     )
-    c.add_argument("--warm", action="store_true", help=warm_help)
+    c.add_argument("--warm", **warm)
     c.add_argument("--csv", metavar="OUT", help="write two CSV rows per instance")
     c.set_defaults(func=cmd_compare)
 

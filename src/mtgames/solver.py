@@ -29,12 +29,15 @@ class SolveOptions:
     """Solver switches.
 
     warm:   seed each Y-step's inner fixed points from the same step of the
-            previous outer round (a step past its last from its last).
-            The answer is the same; each inner chain settles no later.
+            previous outer round (a step past its last from its last), the
+            memoisation the paper's O(sum t_i * n^2) bound rests on. The
+            answer, the outer rounds and the traces are the same; each
+            inner chain settles no later. False runs every chain cold, from
+            every state.
     record: keep iterate-rank traces for strategy extraction.
     """
 
-    warm: bool = False
+    warm: bool = True
     record: bool = True
 
 

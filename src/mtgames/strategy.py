@@ -425,13 +425,14 @@ def parse_strategy(text: str, n: int | None = None) -> Strategy:
     (state, choice), (state_bad, choice_bad) = tok.ints(moves, [1, 2], decimal=True)
     broken = ~comment
     broken[moves] = False
-    # The first token of a line that int() refuses though it is decimal, as
-    # one beyond its digit limit.
+    # Per line whose decimal state or successor int() refuses (one beyond
+    # its digit limit; the state first), what that token is and its length.
     refused = {}
     for i in np.flatnonzero(state_bad | choice_bad).tolist():
         words = [tok.word(first[i] + 1), tok.word(first[i] + 2)]
         if words[0].isdecimal() and words[1].isdecimal():
-            refused[i] = words[0] if state_bad[i] else words[1]
+            at = 0 if state_bad[i] else 1
+            refused[i] = ("state", "successor")[at], len(words[at])
         else:
             broken[i] = True
     # The winning size: the last comment that reads "winning N states" once
@@ -444,7 +445,7 @@ def parse_strategy(text: str, n: int | None = None) -> Strategy:
             try:
                 size = int(words[1])
             except ValueError:
-                refused[i] = words[1]
+                refused[i] = "winning size", len(words[1])
     choices = dict(zip(state[moves].tolist(), choice[moves].tolist()))
     unread, outside, again = np.zeros((3, per.size), dtype=bool)
     unread[list(refused)] = True
@@ -455,8 +456,7 @@ def parse_strategy(text: str, n: int | None = None) -> Strategy:
     tokens.raise_first(
         [
             (broken, lambda i: "expected 'move <state> <successor>'"),
-            # int() raises again the ValueError it raised on the token.
-            (unread, lambda i: str(int(refused[i]))),
+            (unread, lambda i: "%s of %d digits is too long to read" % refused[i]),
             (outside, lambda i: f"move for state {state[i]} out of range"),
             (again, lambda i: f"duplicate move for state {state[i]}"),
         ],

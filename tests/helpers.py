@@ -920,6 +920,15 @@ def load_game_lines(text: str) -> GameGraph:
     return game
 
 
+def _read_int(what: str, digits: str, lineno: int) -> int:
+    """``int(digits)``, or the reader's error where int() refuses the
+    digits for their count."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GameParseError(f"{what} of {len(digits)} digits is too long to read", line=lineno)
+
+
 def parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
     """``parse_strategy``, one line at a time."""
     choices: dict[int, int] = {}
@@ -931,12 +940,13 @@ def parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
         if line.startswith("#"):
             m = _HEADER_RE.match(line)
             if m:
-                winning_size = int(m.group(1))
+                winning_size = _read_int("winning size", m.group(1), lineno)
             continue
         m = _MOVE_RE.match(line)
         if not m:
             raise GameParseError("expected 'move <state> <successor>'", line=lineno)
-        v, w = int(m.group(1)), int(m.group(2))
+        v = _read_int("state", m.group(1), lineno)
+        w = _read_int("successor", m.group(2), lineno)
         if n is not None and v >= n:
             raise GameParseError(f"move for state {v} out of range", line=lineno)
         if v in choices:

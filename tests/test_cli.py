@@ -260,6 +260,31 @@ def test_bad_subcommand_or_flags():
     assert cli.main(["solve"]) == 2
 
 
+def test_one_parser_a_process_answers_as_a_fresh_one(g1_files, capsys, monkeypatch):
+    game_path, spec_path = g1_files
+    # Two usage errors (argparse's and the command's), a solve and --help,
+    # twice over. solve's stdout holds its wall time, so only --help's is
+    # compared.
+    calls = [["solve"], ["solve", str(game_path)], ["solve", str(game_path), str(spec_path)]]
+    calls.append(["--help"])
+
+    def answers():
+        runs = []
+        for argv in calls * 2:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, err, out if argv == ["--help"] else None))
+        return runs
+
+    assert cli._build_parser() is cli._build_parser()
+    cached = answers()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert answers() == cached
+    assert [code for code, _, _ in cached] == [2, 2, 0, 0] * 2
+    assert "the following arguments are required: game" in cached[0][1]
+    assert "a spec file or --ltl is required" in cached[1][1]
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -370,6 +395,25 @@ def test_check_huge_successor_is_an_illegal_edge(g1_files, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        pytest.param("move {} 1\nmove 1 1\n", id="state"),
+        pytest.param("move 0 {}\nmove 1 1\n", id="successor"),
+        pytest.param("# winning {} states\nmove 0 1\nmove 1 1\n", id="winning-size"),
+    ],
+)
+def test_check_words_an_integer_too_long_to_read(strategy, g1_files, tmp_path, capsys):
+    # int() refuses a decimal string of more than 4300 digits; the reader
+    # words it, as it words any other line it cannot read.
+    files = _solved_g1(g1_files, tmp_path)
+    Path(files[2]).write_text(strategy.format("9" * 5000), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["check", *files]) == 2
+    err = capsys.readouterr().err
+    assert "of 5000 digits is too long to read" in err and "Traceback" not in err
+
+
 def test_check_default_bound_admits_three_room_robot(tmp_path, capsys):
     prefix = str(tmp_path / "robot3")
     assert cli.main(["gen-robot", "--rooms", "3", "--out", prefix]) == 0
@@ -407,10 +451,54 @@ def test_solve_warm_writes_the_cold_winning_set_with_no_more_pre(tmp_path, capsy
     game_path, spec_path = write_instance(tmp_path, "rand", game, spec)
     for algo in ("mt", "gr1emb"):
         base = ["solve", str(game_path), str(spec_path), "--algo", algo, "--winning"]
-        cold = _solve_pre_count([*base, str(tmp_path / "cold.txt")], capsys)
+        cold = _solve_pre_count([*base, str(tmp_path / "cold.txt"), "--no-warm"], capsys)
         warm = _solve_pre_count([*base, str(tmp_path / "warm.txt"), "--warm"], capsys)
         assert warm <= cold, algo
         assert (tmp_path / "warm.txt").read_bytes() == (tmp_path / "cold.txt").read_bytes()
+
+
+def _run_record(argv, capsys) -> dict[str, str]:
+    """The fields of the run line a successful ``solve`` prints."""
+    assert cli.main(argv) == 0
+    return dict(field.split("=") for field in capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: benchgen.gen_random_game(200, 4, [3, 1, 2, 1], 2.0, 0), id="random"),
+        pytest.param(
+            lambda: benchgen.gen_multi_target_series(60, 3, 2.0, 0, [4])[0], id="series"
+        ),
+        pytest.param(
+            lambda: benchgen.gen_cleaning_robot(
+                benchgen.RobotWorld(4, 4, benchgen.scaled_rooms(4, 4, 2))
+            ),
+            id="robot",
+        ),
+    ],
+)
+def test_default_solve_is_warm_and_writes_the_cold_files(make, tmp_path, capsys):
+    # The benchmark's small instances: the default solve is the --warm one,
+    # and it writes the --no-warm one's winning set and strategy, byte for
+    # byte, in as many outer rounds and with no more Pre.
+    game_path, spec_path = write_instance(tmp_path, "inst", *make())
+    for algo in ("mt", "gr1emb"):
+        runs = []
+        for flags in ([], ["--warm"], ["--no-warm"]):
+            name = algo + "".join(flags)
+            files = [tmp_path / f"{name}.winning"]
+            if algo == "mt":
+                files.append(tmp_path / f"{name}.strategy")
+            argv = ["solve", str(game_path), str(spec_path), "--algo", algo, *flags]
+            for opt, path in zip(("--winning", "--strategy"), files):
+                argv += [opt, str(path)]
+            runs.append((_run_record(argv, capsys), [f.read_bytes() for f in files]))
+        (default, written), (warm, _), (cold, cold_written) = runs
+        assert written == cold_written
+        assert default["outer_iterations"] == cold["outer_iterations"]
+        assert default["pre_count"] == warm["pre_count"]
+        assert int(default["pre_count"]) <= int(cold["pre_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +587,7 @@ def test_compare_runs_serially_by_default(instance_dir, tmp_path, capsys, monkey
 
 def test_compare_warm_exits_0_with_no_more_pre_than_cold(instance_dir, tmp_path, capsys):
     cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    assert cli.main(["compare", str(instance_dir), "--csv", str(cold)]) == 0
+    assert cli.main(["compare", str(instance_dir), "--no-warm", "--csv", str(cold)]) == 0
     assert cli.main(["compare", str(instance_dir), "--warm", "--csv", str(warm)]) == 0
     assert "all winning sets equal" in capsys.readouterr().out
 

@@ -132,7 +132,7 @@ def test_emb_rejects_invalid_graph(one_mode_spec):
 def test_emb_warm_preserves_winning_set():
     for seed in range(8):
         game, spec = gen_random_game(30, 3, [2, 1, 2], 2.0, seed)
-        cold = solve_gr1_emb(game, spec)
+        cold = solve_gr1_emb(game, spec, SolveOptions(warm=False))
         warm = solve_gr1_emb(game, spec, SolveOptions(warm=True))
         assert warm.winning == cold.winning
 

@@ -203,7 +203,7 @@ def test_pre_count_deterministic_across_runs():
 def test_warm_option_preserves_winning_set():
     for seed in range(10):
         game, spec = gen_random_game(30, 3, [2, 1, 2], 2.0, seed)
-        cold = solve_mt(game, spec)
+        cold = solve_mt(game, spec, SolveOptions(warm=False))
         warm = solve_mt(game, spec, SolveOptions(warm=True))
         assert warm.winning == cold.winning
 
