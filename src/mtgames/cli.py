@@ -18,6 +18,8 @@ import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .benchgen import (
     RobotWorld,
     gen_cleaning_robot,
@@ -223,10 +225,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"gr1emb={rec_emb.pre_count} {'OK' if equal else 'MISMATCH'}"
         )
         if not equal:
-            sym = (res_mt.winning | res_emb.winning) - (
-                res_mt.winning & res_emb.winning
-            )
-            mismatches.append((name, rec_mt, rec_emb, int(sym.indices()[0])))
+            witness = np.flatnonzero(res_mt.winning.bits ^ res_emb.winning.bits)[0]
+            mismatches.append((name, rec_mt, rec_emb, int(witness)))
 
     if args.csv:
         _write_csv(args.csv, records)
@@ -298,7 +298,10 @@ def cmd_gen_robot(args: argparse.Namespace) -> int:
     m = _GRID_RE.match(args.grid)
     if not m:
         raise _Usage(f"--grid expects WIDTHxHEIGHT, got {args.grid!r}")
-    width, height = int(m.group(1)), int(m.group(2))
+    try:
+        width, height = int(m.group(1)), int(m.group(2))
+    except ValueError:  # a side of more digits than int() reads
+        raise _Usage(f"--grid side of {len(max(m.groups(), key=len))} digits is too long to read")
     if args.boxes:
         rooms = []
         for lineno, parts in split_lines(_read(args.boxes)):

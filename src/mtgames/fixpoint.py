@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameGraph, PreTracker, RowSlice, pre
-from .sets import StateSet
 
 
 @dataclass
@@ -49,18 +48,17 @@ class FixpointEngine:
 
     def pre(
         self,
-        s: StateSet | np.ndarray,
+        mask: np.ndarray,
         within: RowSlice | None = None,
         tracker: PreTracker | None = None,
-    ) -> StateSet | np.ndarray:
-        """Counted Pre of a boolean mask, as the loops below pass it, or of
-        a StateSet; the result has the same type. With ``within``, a slice
-        from :meth:`row_slices`, it is Pre inside that set only, for a mask
-        one value per row of the slice; with ``tracker``, from
+    ) -> np.ndarray:
+        """Counted :func:`~mtgames.game.pre` of a boolean mask. With
+        ``within``, a slice from :meth:`row_slices`, it is Pre inside that
+        set only, one value per row of the slice; with ``tracker``, from
         ``game.pre_tracker``, the tracker's counts are brought up to date
         instead of counting every edge."""
         self.stats.pre_count += 1
-        return pre(self.game, s, within=within, tracker=tracker)
+        return pre(self.game, mask, within=within, tracker=tracker)
 
     def row_slices(self, block: np.ndarray) -> list[RowSlice]:
         """The graph's row slice of each row of ``block``, built once per
@@ -73,14 +71,15 @@ class FixpointEngine:
 
     def gfp(
         self,
-        op: Callable[[StateSet], StateSet],
-        seed: StateSet | None = None,
-    ) -> StateSet:
-        """Greatest fixed point; ``seed`` must lie above it."""
-        x = seed if seed is not None else StateSet.full(self.game.n)
+        op: Callable[[np.ndarray], np.ndarray],
+        seed: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Greatest fixed point of ``op`` on boolean masks, iterated down
+        from ``seed``, which must lie above it, or from every state."""
+        x = self.game.every_state if seed is None else seed
         while True:
             nxt = x & op(x)
-            if nxt == x:
+            if np.array_equal(nxt, x):
                 return x
             x = nxt
 
@@ -359,7 +358,7 @@ def solve_stable_conjunction(
     persist_blocks: Sequence[np.ndarray],
     exit_masks: Sequence[np.ndarray],
     *,
-    warm: bool = False,
+    warm: bool,
     record: bool = False,
 ) -> NestedSolveOutcome:
     """Common driver for the nested greatest/least fixed-point solvers.

@@ -229,17 +229,20 @@ class GameGraph:
     def has_prop(self, name: str) -> bool:
         return name in self._prop_names
 
-    def prop_set(self, name: str) -> StateSet:
-        """The set of states labeled with ``name``."""
+    def prop_mask(self, name: str) -> np.ndarray:
+        """The read-only mask of the states labeled with ``name``."""
         try:
-            i = self._prop_names.index(name)
+            return self._prop_masks[self._prop_names.index(name)]
         except ValueError:
             from .errors import UnboundProposition
 
             raise UnboundProposition(
                 f"proposition {name!r} unbound in graph"
             ) from None
-        return StateSet.from_mask(self._prop_masks[i])
+
+    def prop_set(self, name: str) -> StateSet:
+        """The set of states labeled with ``name``."""
+        return StateSet(self.prop_mask(name))
 
     def label_names(self, v: int) -> frozenset[str]:
         return frozenset(
@@ -392,16 +395,13 @@ class PreTracker:
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """Every state's count of successors in the length-n boolean
-        ``mask``, as int32; the array is the tracker's own, and the next
-        call changes it."""
+        ``mask``, which :func:`pre` has checked to be boolean, as int32;
+        the array is the tracker's own, and the next call changes it."""
         game = self._game
         # The states that changed index scipy's row copy, which checks no
         # bounds.
         if mask.shape != self._mask.shape:
             raise ValueError(f"mask of shape {mask.shape} for {game.n} states")
-        # An int mask would make ``joined`` below index positions, not pick.
-        if mask.dtype != bool:
-            raise ValueError(f"a tracked Pre takes a boolean mask, not {mask.dtype}")
         changed = mask != self._mask
         changes = np.count_nonzero(changed)
         if not changes:
@@ -466,27 +466,25 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def pre(
     game: GameGraph,
-    target: StateSet | np.ndarray,
+    mask: np.ndarray,
     within: RowSlice | None = None,
     tracker: PreTracker | None = None,
-) -> StateSet | np.ndarray:
-    """Controllable predecessor of ``target``.
+) -> np.ndarray:
+    """Controllable predecessor of the length-n boolean ``mask``, as a
+    length-n boolean mask.
 
-    A Player 0 state belongs to the result iff some successor is in
-    ``target``; a Player 1 state iff all successors are. ``target`` is a
-    StateSet, or a boolean mask of length n as the fixed-point loops pass
-    it; the result has the same type.
+    A Player 0 state belongs to the result iff some successor is in the
+    mask; a Player 1 state iff all successors are.
 
     With ``within``, a slice from ``game.row_slice(P)``, the result is
-    ``Pre(target) & P``, computed from P's successor rows alone. For a
-    StateSet it is a StateSet of n states; for a mask it has one value per
-    row of the slice, in the order of ``within.rows``, and the mask may be
-    given in its 0/1 int32 form.
+    ``Pre(mask) & P``, computed from P's successor rows alone: one value
+    per row of the slice, in the order of ``within.rows``. The mask may
+    then be given in its 0/1 int32 form. Any other input is refused.
 
     With ``tracker``, from ``game.pre_tracker``, the result is the same,
     computed from the tracker's successor counts: each call reads the
-    in-edges of the states that joined or left ``target`` since the
-    tracker's last call. The mask must then be boolean.
+    in-edges of the states that joined or left the mask since the
+    tracker's last call.
 
     The graph's own ``every_state`` and ``no_state`` masks, recognised by
     identity, are answered from the graph alone, with no count: Pre of
@@ -494,31 +492,22 @@ def pre(
     Player 1 state, Pre of no state the Player 1 states without one. A
     tracker is then left as it was.
     """
-    mask = target
-    if isinstance(target, StateSet):
-        if target.universe != game.n:
-            raise ValueError("target universe does not match game")
-        mask = target.bits
+    dtype = getattr(mask, "dtype", None)
+    if dtype != bool and (within is None or dtype != np.int32):
+        what = type(mask).__name__ if dtype is None else f"an array of {dtype}"
+        raise ValueError(f"Pre takes a boolean mask of the states, not {what}")
     if tracker is not None and within is not None:
         raise ValueError("a tracked Pre is over the whole graph")
     floor = game._pre_floor if within is None else within.floor
     if mask is game._every_state:
-        got = (game._pre_every if within is None else within.pre_every).copy()
-    elif mask is game._no_state:
-        got = floor < 0
-    elif tracker is not None:
-        got = tracker.counts(mask) > floor
-    elif within is None:
-        got = game._counts(game._indptr, game._indices, mask) > floor
-    else:
-        got = game._counts(within.indptr, within.indices, mask) > floor
-    if not isinstance(target, StateSet):
-        return got
+        return (game._pre_every if within is None else within.pre_every).copy()
+    if mask is game._no_state:
+        return floor < 0
+    if tracker is not None:
+        return tracker.counts(mask) > floor
     if within is None:
-        return StateSet._wrap(got)
-    out = np.zeros(game.n, dtype=bool)
-    out[within.rows] = got
-    return StateSet._wrap(out)
+        return game._counts(game._indptr, game._indices, mask) > floor
+    return game._counts(within.indptr, within.indices, mask) > floor
 
 
 def validate_graph(game: GameGraph) -> list[str]:

@@ -1,17 +1,15 @@
-"""Dense sets of state indices.
+"""State sets where they leave or enter the package.
 
-Every solver-level computation manipulates subsets of a fixed universe
-{0, ..., n-1}. StateSet stores one boolean per state and gives exact set
-algebra on top of numpy, so unions/intersections over large games stay
-cheap while membership remains exact.
-
-Instances are value-like: operators return fresh sets and the backing
-array is marked read-only.
+Inside the package a subset of the states {0, ..., n-1} is a length-n
+boolean mask. A StateSet wraps one, read-only, only at the edge: the
+solvers' results, ``GameGraph.prop_set``, ``parse_winning`` and
+``enumerate_memoryless_winning`` hand one out; strategy extraction, the
+checker and the winning-set writer read one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -28,38 +26,29 @@ def int_array(values: Iterable, what: str) -> np.ndarray:
 
 
 class StateSet:
+    """The states of a 1-D boolean mask, one value per state; the mask is
+    copied, so that no later change to it reaches the set."""
+
     __slots__ = ("_bits",)
 
-    def __init__(self, universe: int, members: Iterable[int] = ()):
-        if universe < 0:
-            raise ValueError("universe size must be nonnegative")
-        bits = np.zeros(universe, dtype=bool)
-        idx = int_array(members, "members")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= universe:
-                raise ValueError("state index out of range")
-            bits[idx] = True
+    def __init__(self, mask: np.ndarray):
+        bits = np.array(mask)
+        # An integer array would be read as a list of states by one reader
+        # and as a mask by another.
+        if bits.dtype != bool or bits.ndim != 1:
+            raise ValueError(
+                f"a StateSet is made from a 1-D boolean mask, not {bits.ndim}-D {bits.dtype}"
+            )
         bits.flags.writeable = False
         self._bits = bits
 
     @classmethod
     def _wrap(cls, bits: np.ndarray) -> "StateSet":
+        """The set of a boolean mask that no one changes later, uncopied."""
         s = cls.__new__(cls)
         bits.flags.writeable = False
         s._bits = bits
         return s
-
-    @classmethod
-    def empty(cls, universe: int) -> "StateSet":
-        return cls._wrap(np.zeros(universe, dtype=bool))
-
-    @classmethod
-    def full(cls, universe: int) -> "StateSet":
-        return cls._wrap(np.ones(universe, dtype=bool))
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "StateSet":
-        return cls._wrap(np.array(mask, dtype=bool))
 
     @property
     def bits(self) -> np.ndarray:
@@ -70,66 +59,16 @@ class StateSet:
     def universe(self) -> int:
         return self._bits.shape[0]
 
-    def _check(self, other: "StateSet") -> None:
-        if not isinstance(other, StateSet):
-            raise TypeError(f"expected StateSet, got {type(other).__name__}")
-        if other.universe != self.universe:
-            raise ValueError(
-                f"universe mismatch: {self.universe} vs {other.universe}"
-            )
-
-    def __or__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet._wrap(self._bits | other._bits)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet._wrap(self._bits & other._bits)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet._wrap(self._bits & ~other._bits)
-
-    def __invert__(self) -> "StateSet":
-        return StateSet._wrap(~self._bits)
-
-    def __le__(self, other: "StateSet") -> bool:
-        self._check(other)
-        return bool(np.all(~self._bits | other._bits))
-
-    def __lt__(self, other: "StateSet") -> bool:
-        return self <= other and self != other
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateSet):
             return NotImplemented
-        return self.universe == other.universe and bool(
-            np.array_equal(self._bits, other._bits)
-        )
+        return bool(np.array_equal(self._bits, other._bits))
 
     __hash__ = None  # mutable-array backing; identity hashing would mislead
-
-    def __contains__(self, state: int) -> bool:
-        return 0 <= state < self.universe and bool(self._bits[state])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices().tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._bits))
 
-    def __bool__(self) -> bool:
-        return bool(self._bits.any())
-
     def indices(self) -> np.ndarray:
         """Member states in ascending order."""
         return np.flatnonzero(self._bits)
-
-    def __repr__(self) -> str:
-        n = len(self)
-        if n <= 12:
-            body = "{" + ", ".join(str(i) for i in self.indices()) + "}"
-        else:
-            head = ", ".join(str(i) for i in self.indices()[:8])
-            body = f"{{{head}, ...}} ({n} states)"
-        return f"StateSet({self.universe}, {body})"

@@ -297,7 +297,7 @@ class BoundSpec:
 
 def _prop_rows(game: GameGraph, names: tuple[str, ...]) -> np.ndarray:
     """Read-only (len(names) x n) masks of the named propositions."""
-    rows = np.array([game.prop_set(p).bits for p in names], dtype=bool)
+    rows = np.array([game.prop_mask(p) for p in names], dtype=bool)
     rows = rows.reshape(len(names), game.n)
     rows.flags.writeable = False
     return rows

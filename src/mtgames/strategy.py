@@ -395,7 +395,7 @@ def enumerate_memoryless_winning(
     out = np.zeros(n, dtype=bool)
     for v in _bits_of(winning):
         out[v] = True
-    return StateSet.from_mask(out)
+    return StateSet._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +410,8 @@ def format_strategy(strategy: Strategy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_strategy(text: str, n: int | None = None) -> Strategy:
-    """Read a strategy file; with ``n``, reject moves for states >= n.
+def parse_strategy(text: str, n: int) -> Strategy:
+    """Read a strategy file of moves for states below ``n``.
 
     Each line is ``move <state> <successor>`` with decimal integers, or a
     comment, which opens with ``#``; the last comment that reads ``#
@@ -449,7 +449,7 @@ def parse_strategy(text: str, n: int | None = None) -> Strategy:
     choices = dict(zip(state[moves].tolist(), choice[moves].tolist()))
     unread, outside, again = np.zeros((3, per.size), dtype=bool)
     unread[list(refused)] = True
-    outside[moves] = n is not None and state[moves] >= n
+    outside[moves] = state[moves] >= n
     if len(choices) < moves.size:
         # Each state's move lines after its first.
         again[np.delete(moves, np.unique(state[moves], return_index=True)[1])] = True
@@ -484,4 +484,4 @@ def parse_winning(text: str, n: int) -> StateSet:
     )
     mask = np.zeros(n, dtype=bool)
     mask[state] = True
-    return StateSet.from_mask(mask)
+    return StateSet._wrap(mask)

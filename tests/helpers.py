@@ -69,6 +69,18 @@ def frozen(s: StateSet) -> frozenset[int]:
     return frozenset(int(v) for v in s.indices())
 
 
+def members(mask: np.ndarray) -> set[int]:
+    """The states of a boolean mask."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def mask_of(n: int, states=()) -> np.ndarray:
+    """The boolean mask of ``states`` among n states."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(states)] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 
@@ -113,9 +125,9 @@ def random_graph(seed: int, n: int | None = None) -> GameGraph:
     return build_game(n, owners, edges)
 
 
-def random_subset(seed: int, n: int) -> StateSet:
+def random_subset(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return StateSet.from_mask(rng.random(n) < 0.5)
+    return rng.random(n) < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +304,15 @@ def gen_random_game_pairs(
     return GameGraph(n, owners, edges, labels), spec
 
 
-def pre_where(game: GameGraph, target: StateSet) -> StateSet:
+def pre_where(game: GameGraph, target: np.ndarray) -> np.ndarray:
     """Controllable predecessor through one np.where over the successor
     counts, taken as a scipy sparse product over the graph's edge list."""
     src, dst = game.edge_arrays
     n = game.n
     adj = csr_matrix((np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n))
-    cnt = adj @ target.bits.astype(np.int64)
+    cnt = adj @ target.astype(np.int64)
     outdeg = np.bincount(src, minlength=n)
-    return StateSet.from_mask(np.where(game.is_player0_mask, cnt > 0, cnt == outdeg))
+    return np.where(game.is_player0_mask, cnt > 0, cnt == outdeg)
 
 
 def random_raw_edges(seed: int) -> tuple[int, list[int], np.ndarray, np.ndarray]:
@@ -320,7 +332,7 @@ def random_raw_edges(seed: int) -> tuple[int, list[int], np.ndarray, np.ndarray]
 # Strategy checker corpus and the loop checker it is compared against
 
 
-def followed_closure(game: GameGraph, choices: dict[int, int], start) -> StateSet:
+def followed_closure(game: GameGraph, choices: dict[int, int], start) -> set[int]:
     """States reachable from ``start`` when Player 0 follows ``choices``
     (where it has one) and Player 1 moves freely."""
     seen = set(int(v) for v in start)
@@ -335,7 +347,7 @@ def followed_closure(game: GameGraph, choices: dict[int, int], start) -> StateSe
             if 0 <= w < game.n and w not in seen:
                 seen.add(w)
                 todo.append(w)
-    return StateSet(game.n, sorted(seen))
+    return seen
 
 
 def checker_case(seed: int) -> tuple[GameGraph, MTSpec, Strategy, StateSet]:
@@ -390,7 +402,7 @@ def checker_case(seed: int) -> tuple[GameGraph, MTSpec, Strategy, StateSet]:
             if owners[v] == PLAYER0
         }
         start = np.flatnonzero(rng.random(n) < 0.3)
-        claim = set(frozen(followed_closure(game, choices, start)))
+        claim = followed_closure(game, choices, start)
 
     if rng.random() < 1 / 3:
         corruption = int(rng.integers(0, 4))
@@ -405,7 +417,7 @@ def checker_case(seed: int) -> tuple[GameGraph, MTSpec, Strategy, StateSet]:
             claim.add(int(rng.integers(0, n)))
         elif claim:
             claim.discard(int(rng.choice(sorted(claim))))
-    return game, spec, Strategy(choices, len(claim)), StateSet(n, sorted(claim))
+    return game, spec, Strategy(choices, len(claim)), StateSet(mask_of(n, claim))
 
 
 def _bfs_path_loop(
@@ -719,7 +731,7 @@ def persistence_reach_iterates(game: GameGraph, block, reach, seeds=None):
     with the seed's states of P_j added, rather than from every state."""
 
     def pre(mask):
-        return pre_where(game, StateSet.from_mask(mask)).bits
+        return pre_where(game, mask)
 
     y = np.zeros(game.n, dtype=bool)
     ys, bases, xs, calls = [y], [], [], 0
@@ -929,7 +941,7 @@ def _read_int(what: str, digits: str, lineno: int) -> int:
         raise GameParseError(f"{what} of {len(digits)} digits is too long to read", line=lineno)
 
 
-def parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
+def parse_strategy_lines(text: str, n: int) -> Strategy:
     """``parse_strategy``, one line at a time."""
     choices: dict[int, int] = {}
     winning_size = None
@@ -947,7 +959,7 @@ def parse_strategy_lines(text: str, n: int | None = None) -> Strategy:
             raise GameParseError("expected 'move <state> <successor>'", line=lineno)
         v = _read_int("state", m.group(1), lineno)
         w = _read_int("successor", m.group(2), lineno)
-        if n is not None and v >= n:
+        if v >= n:
             raise GameParseError(f"move for state {v} out of range", line=lineno)
         if v in choices:
             raise GameParseError(f"duplicate move for state {v}", line=lineno)
@@ -966,4 +978,4 @@ def parse_winning_lines(text: str, n: int) -> StateSet:
         if not 0 <= v < n:
             raise GameParseError(f"state {v} out of range", line=lineno)
         members.append(v)
-    return StateSet(n, members)
+    return StateSet(mask_of(n, members))

@@ -194,7 +194,7 @@ def _corrupt_and_check(game, spec, strategy, winning):
     target = None
     for v in sorted(strategy.choices):
         for w in game.successors(v):
-            if int(w) not in winning:
+            if not winning.bits[w]:
                 target = (v, int(w))
                 break
         if target:

@@ -229,7 +229,7 @@ def test_random_game_structure():
     assert spec.target_counts == (2, 1, 3)
     # Every mode is inhabited (the first m states are pinned to them).
     for i, mode in enumerate(spec.modes):
-        assert i in game.prop_set(mode.name)
+        assert game.prop_set(mode.name).bits[i]
         for t in mode.targets:
             assert len(game.prop_set(t)) >= 1
 
@@ -304,7 +304,7 @@ def test_fixpoint_witness_shape():
     assert [game.successors(v).tolist() for v in range(game.n)] == [
         [1], [2], [3], [4], [5], [5], [7], [8], [9], [9]
     ]
-    assert {p: sorted(game.prop_set(p)) for p in game.props} == {
+    assert {p: game.prop_set(p).indices().tolist() for p in game.props} == {
         "M1": [0, 1, 2, 3, 4],
         "T1": [0, 1],
         "M2": [5, 6, 8, 9],
@@ -316,10 +316,10 @@ def test_fixpoint_witness_shape():
     assert_modes_partition_states(game, spec)
     # Everything up to d wins; every e state runs into the last, which
     # stays in M2 outside T2.
-    assert sorted(solve_mt(game, spec).winning) == list(range(6))
+    assert solve_mt(game, spec).winning.indices().tolist() == list(range(6))
     # With k = 1 the only odd e state is the last, and M3 labels nothing.
     game, _ = gen_fixpoint_witness(1)
-    assert game.n == 6 and not list(game.prop_set("M3"))
+    assert game.n == 6 and len(game.prop_set("M3")) == 0
 
 
 def test_fixpoint_witness_rejects_bad_sizes():

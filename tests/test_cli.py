@@ -19,6 +19,7 @@ import mtgames
 from mtgames import benchgen, cli
 from mtgames.fixpoint import ModeTrace
 from mtgames.game import load_game, serialize_game
+from mtgames.sets import StateSet
 from mtgames.solver import solve_mt
 from mtgames.specs import format_spec_file, parse_spec_file
 from mtgames.strategy import parse_strategy, parse_winning
@@ -105,8 +106,8 @@ def test_solve_writes_winning_and_strategy(g1_files, tmp_path, capsys):
     )
     assert rc == 0
     winning = parse_winning(win_path.read_text(encoding="utf-8"), 2)
-    assert set(winning) == {0, 1}
-    strat = parse_strategy(strat_path.read_text(encoding="utf-8"))
+    assert winning.indices().tolist() == [0, 1]
+    strat = parse_strategy(strat_path.read_text(encoding="utf-8"), 2)
     assert strat.choices == {0: 1, 1: 1}
     assert strat.winning_size == 2
 
@@ -554,7 +555,8 @@ def test_compare_source_errors(tmp_path, instance_dir):
 def test_compare_detects_mismatch(instance_dir, tmp_path, capsys, monkeypatch):
     def corrupted(game, spec, options=None):
         result = solve_mt(game, spec, options)
-        return type(result)(~result.winning, result.stats, None, result.bound, "gr1emb")
+        flipped = StateSet(~result.winning.bits)
+        return type(result)(flipped, result.stats, None, result.bound, "gr1emb")
 
     monkeypatch.setattr(cli, "solve_gr1_emb", corrupted)
     csv_path = tmp_path / "out.csv"
@@ -745,6 +747,15 @@ def test_gen_robot_words_a_bound_that_is_not_an_integer(tmp_path, capsys):
             "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: line 2: room bounds must be integers\n"
+
+
+@pytest.mark.parametrize("grid", ["9" * 5000 + "x6", "6x" + "9" * 5000])
+def test_gen_robot_words_a_grid_side_too_long_to_read(tmp_path, capsys, grid):
+    # int() reads no more than 4300 digits; the side used to end in its
+    # ValueError traceback.
+    argv = ["gen-robot", "--rooms", "2", "--grid", grid, "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --grid side of 5000 digits is too long to read\n"
 
 
 def test_gen_robot_cli_errors(tmp_path):

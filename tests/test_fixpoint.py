@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import members
 from mtgames.fixpoint import (
     FixpointEngine,
     ModeTrace,
@@ -26,12 +27,8 @@ def stay_op(engine, region):
 
 
 def block(n, *sets):
-    """The (len(sets) x n) persistence block of some StateSets."""
-    return np.array([s.bits for s in sets], dtype=bool).reshape(len(sets), n)
-
-
-def members(mask):
-    return set(np.flatnonzero(mask).tolist())
+    """The (len(sets) x n) persistence block of some masks."""
+    return np.array(sets, dtype=bool).reshape(len(sets), n)
 
 
 def subset(a, b):
@@ -45,7 +42,7 @@ def padded_seeds(g, persist, steps, seed):
     a valid seed for that step."""
     return [
         [
-            x | helpers.random_subset(seed + 900 + 7 * l + j, g.n).bits[p]
+            x | helpers.random_subset(seed + 900 + 7 * l + j, g.n)[p]
             for j, (x, p) in enumerate(zip(row, persist))
         ]
         for l, row in enumerate(steps)
@@ -60,8 +57,24 @@ def test_pre_counter_increments(g2_game):
     engine = FixpointEngine(g2_game)
     assert engine.stats.pre_count == 0
     engine.pre(np.ones(2, dtype=bool))
-    engine.pre(StateSet.empty(2))
+    engine.pre(np.zeros(2, dtype=bool))
     assert engine.stats.pre_count == 2
+
+
+@pytest.mark.parametrize(
+    "mask, what",
+    [
+        pytest.param(StateSet(np.array([False, True])), "StateSet", id="state-set"),
+        pytest.param(np.array([0, 1]), "an array of int64", id="int64-mask"),
+        pytest.param(np.array([0, 1], dtype=np.int32), "an array of int32", id="int32-mask"),
+        pytest.param([False, True], "list", id="list"),
+    ],
+)
+def test_pre_refuses_anything_but_a_boolean_mask(g2_game, mask, what):
+    # The int32 form is taken only with a row slice.
+    engine = FixpointEngine(g2_game)
+    with pytest.raises(ValueError, match=f"Pre takes a boolean mask of the states, not {what}$"):
+        engine.pre(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +83,9 @@ def test_pre_counter_increments(g2_game):
 
 def test_gfp_stay_frozen_examples(g1_game, g2_game):
     e1 = FixpointEngine(g1_game)
-    assert set(e1.gfp(stay_op(e1, StateSet(2, [1])))) == {1}
+    assert members(e1.gfp(stay_op(e1, np.array([False, True])))) == {1}
     e2 = FixpointEngine(g2_game)
-    assert set(e2.gfp(stay_op(e2, StateSet(2, [1])))) == set()
+    assert members(e2.gfp(stay_op(e2, np.array([False, True])))) == set()
 
 
 def test_gfp_seed_independence():
@@ -84,7 +97,7 @@ def test_gfp_seed_independence():
         # Any superset of the greatest fixed point is a legal seed.
         cover = cold | helpers.random_subset(seed + 900, g.n)
         warm = engine.gfp(stay_op(engine, region), seed=cover)
-        assert warm == cold
+        assert np.array_equal(warm, cold)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +166,7 @@ def test_persistence_rejects_seeds_that_are_not_boolean():
 
 def test_persistence_frozen_g2(g2_game):
     engine = FixpointEngine(g2_game)
-    res = solve_persistence_reach(engine, block(2, StateSet(2, [1])), np.zeros(2, bool))
+    res = solve_persistence_reach(engine, block(2, [False, True]), np.zeros(2, bool))
     assert members(res.value) == set()
 
 
@@ -162,8 +175,8 @@ def test_persistence_without_sets_is_attractor():
         g = helpers.random_graph(seed)
         goal = helpers.random_subset(seed + 500, g.n)
         engine = FixpointEngine(g)
-        res = solve_persistence_reach(engine, block(g.n), goal.bits)
-        assert members(res.value) == helpers.naive_attractor(g, set(goal)), f"seed {seed}"
+        res = solve_persistence_reach(engine, block(g.n), goal)
+        assert members(res.value) == helpers.naive_attractor(g, members(goal)), f"seed {seed}"
 
 
 def test_persistence_value_contains_reach_and_stay_regions():
@@ -172,12 +185,12 @@ def test_persistence_value_contains_reach_and_stay_regions():
         engine = FixpointEngine(g)
         p = helpers.random_subset(seed + 11, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
-        res = solve_persistence_reach(engine, block(g.n, p), reach.bits)
-        assert subset(reach.bits, res.value)
+        res = solve_persistence_reach(engine, block(g.n, p), reach)
+        assert subset(reach, res.value)
         stay = engine.gfp(stay_op(engine, p))
-        assert subset(stay.bits, res.value)
+        assert subset(stay, res.value)
         # The last step's inner fixed point, on P's rows.
-        assert subset(res.x_steps[-1][0], res.value[p.bits])
+        assert subset(res.x_steps[-1][0], res.value[p])
 
 
 def test_persistence_warm_seeds_reproduce_value():
@@ -188,9 +201,9 @@ def test_persistence_warm_seeds_reproduce_value():
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, p, q)
-        cold = solve_persistence_reach(engine, persist, reach.bits)
+        cold = solve_persistence_reach(engine, persist, reach)
         before = engine.stats.pre_count
-        warm = solve_persistence_reach(engine, persist, reach.bits, x_seeds=cold.x_steps)
+        warm = solve_persistence_reach(engine, persist, reach, x_seeds=cold.x_steps)
         warm_cost = engine.stats.pre_count - before
         assert np.array_equal(warm.value, cold.value)
         assert warm_cost <= before
@@ -227,7 +240,7 @@ def test_persistence_reach_matches_the_plain_loop(monkeypatch, warm, edge_bound)
         g = helpers.random_graph(seed)
         p = helpers.random_subset(seed + 11, g.n)
         q = helpers.random_subset(seed + 33, g.n)
-        reach = helpers.random_subset(seed + 22, g.n).bits
+        reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, p, q)
         seeds = None
         if warm:
@@ -273,7 +286,7 @@ def test_recorded_iterates_form_increasing_chain(monkeypatch):
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, p, q)
-        res = solve_persistence_reach(engine, persist, reach.bits)
+        res = solve_persistence_reach(engine, persist, reach)
         ys, xs = helpers.full_iterates(g.n, rows_of(engine, persist), res.bases, res.x_steps[:-1])
         assert not ys[0].any()
         for a, b in zip(ys, ys[1:]):
@@ -287,7 +300,7 @@ def test_recorded_iterates_form_increasing_chain(monkeypatch):
                 assert subset(x, res.value)
         # The chains are the plain loop's, mask for mask.
         _, _, ref_ys, ref_bases, ref_xs, _ = helpers.persistence_reach_iterates(
-            g, persist, reach.bits
+            g, persist, reach
         )
         assert len(ys) == len(ref_ys) and len(res.bases) == len(ref_bases)
         assert all(np.array_equal(a, b) for a, b in zip(ys, ref_ys))
@@ -306,10 +319,10 @@ def test_mode_trace_ranks_reconstruct_iterates(monkeypatch):
         q = helpers.random_subset(seed + 33, g.n)
         reach = helpers.random_subset(seed + 22, g.n)
         persist = block(g.n, *(p, q)[:sets])
-        res = solve_persistence_reach(engine, persist, reach.bits)
+        res = solve_persistence_reach(engine, persist, reach)
         tr = ModeTrace.from_iterates(g.n, rows_of(engine, persist), res.bases, res.x_steps[:-1])
         assert len(tr.x_rank) == sets
-        _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach.bits)
+        _, _, ys, _, xs, _ = helpers.persistence_reach_iterates(g, persist, reach)
         assert helpers.same_trace(tr, helpers.ModeTraceLoop.from_iterates(ys, xs, sets))
         for rank, y in enumerate(ys):
             assert np.array_equal((tr.y_rank >= 1) & (tr.y_rank <= rank), y)
@@ -344,10 +357,10 @@ def test_both_inner_paths_give_their_sets_rows(monkeypatch, warm, edge_bound):
     force_edge_bound(monkeypatch, edge_bound)
     for seed in range(10):
         g = helpers.random_graph(seed)
-        sets = [StateSet.empty(g.n), StateSet.full(g.n)]
+        sets = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)]
         sets += [helpers.random_subset(seed + 11 * k, g.n) for k in (1, 3)]
         persist = block(g.n, *sets)
-        reach = helpers.random_subset(seed + 22, g.n).bits
+        reach = helpers.random_subset(seed + 22, g.n)
         seeds = None
         if warm:
             cold = solve_persistence_reach(FixpointEngine(g), persist, reach)
@@ -385,7 +398,7 @@ def test_inner_iterates_are_base_and_their_part_in_the_set(warm):
                     game, block_i, exits[i]
                 )
                 seeds = helpers.seeds_on_rows(block_i, [*more, last])
-            reach = exits[i] & helpers.random_subset(seed + 70 + i, game.n).bits
+            reach = exits[i] & helpers.random_subset(seed + 70 + i, game.n)
             _, _, ys, bases, xs, _ = helpers.persistence_reach_iterates(
                 game, block_i, reach, seeds
             )
@@ -412,23 +425,23 @@ def _bound_parts(game, spec):
 
 def test_driver_frozen_examples(g1_game, g2_game, one_mode_spec):
     p1, e1 = _bound_parts(g1_game, one_mode_spec)
-    out1 = solve_stable_conjunction(g1_game, p1, e1)
+    out1 = solve_stable_conjunction(g1_game, p1, e1, warm=False)
     assert members(out1.winning) == {0, 1}
     assert out1.stats.outer_iterations >= 1
     assert out1.stats.pre_count > 0
     assert out1.stats.wall_time_s >= 0.0
 
     p2, e2 = _bound_parts(g2_game, one_mode_spec)
-    out2 = solve_stable_conjunction(g2_game, p2, e2)
+    out2 = solve_stable_conjunction(g2_game, p2, e2, warm=False)
     assert members(out2.winning) == set()
 
 
 def test_driver_records_one_trace_per_conjunct(g1_game, one_mode_spec):
     p, e = _bound_parts(g1_game, one_mode_spec)
-    out = solve_stable_conjunction(g1_game, p, e, record=True)
+    out = solve_stable_conjunction(g1_game, p, e, warm=False, record=True)
     assert out.traces is not None and len(out.traces) == 1
     assert len(out.traces[0].x_rank) == 1
-    no_rec = solve_stable_conjunction(g1_game, p, e, record=False)
+    no_rec = solve_stable_conjunction(g1_game, p, e, warm=False, record=False)
     assert no_rec.traces is None
     assert no_rec.stats.pre_count == out.stats.pre_count
 
@@ -442,7 +455,7 @@ def test_final_round_iterates_close_on_winning_set():
     for seed in range(8):
         game, spec = gen_random_game(30, 2, [2, 1], 2.0, seed)
         persist, exits = _bound_parts(game, spec)
-        out = solve_stable_conjunction(game, persist, exits, record=True)
+        out = solve_stable_conjunction(game, persist, exits, warm=False, record=True)
         for tr in out.traces:
             assert np.array_equal(tr.y_rank >= 1, out.winning)
 
@@ -556,15 +569,15 @@ def test_driver_warm_matches_cold():
     for seed in range(8):
         game, spec = gen_random_game(40, 3, [2, 1, 2], 2.0, seed)
         persist, exits = _bound_parts(game, spec)
-        cold = solve_stable_conjunction(game, persist, exits)
+        cold = solve_stable_conjunction(game, persist, exits, warm=False)
         warm = solve_stable_conjunction(game, persist, exits, warm=True)
         assert np.array_equal(warm.winning, cold.winning)
 
 
 def test_driver_pre_count_deterministic(g1_game, one_mode_spec):
     p, e = _bound_parts(g1_game, one_mode_spec)
-    a = solve_stable_conjunction(g1_game, p, e)
-    b = solve_stable_conjunction(g1_game, p, e)
+    a = solve_stable_conjunction(g1_game, p, e, warm=False)
+    b = solve_stable_conjunction(g1_game, p, e, warm=False)
     assert a.stats.pre_count == b.stats.pre_count
     assert a.stats.outer_iterations == b.stats.outer_iterations
 
@@ -773,7 +786,7 @@ def _solve(algo, game, spec, warm):
         avoid = rng.random((3, game.n)) < 0.2
         res = solve_stable_conjunction(game, [avoid] * 4, rng.random((4, game.n)) < 0.3, warm=warm)
         # The winning set as the solvers hand it out.
-        return replace(res, winning=StateSet.from_mask(res.winning))
+        return replace(res, winning=StateSet(res.winning))
     solve = solve_mt if algo == "mt" else solve_gr1_emb
     return solve(game, spec, SolveOptions(warm=warm))
 
@@ -1129,7 +1142,7 @@ def test_seeded_chains_read_only_their_undecided_rows(monkeypatch, algo, edge_bo
             value, _, _, bases, _, calls = helpers.persistence_reach_iterates(
                 game, persist, run.reach, seeds
             )
-            bases.append(helpers.pre_where(game, StateSet.from_mask(value)).bits | run.reach)
+            bases.append(helpers.pre_where(game, value) | run.reach)
             assert run.others == len(bases)
             assert run.others + sum(len(slices) for _, slices in run.chains) == calls
             assert len(run.chains) == len(bases) * len(persist)

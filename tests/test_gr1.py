@@ -21,7 +21,7 @@ def mask(n, *states):
     return out
 
 
-def gr1_winning(game, avoid, guarantees, warm=False):
+def gr1_winning(game, avoid, guarantees, *, warm):
     """Winning states of the GR(1) objective with the rows of ``avoid`` as
     assumption complements and ``guarantees`` as guarantees, solved by the
     core with one block object shared by every guarantee."""
@@ -145,19 +145,19 @@ def test_gr1_without_assumptions_is_recurrence_region():
     # 0 -> 1 -> 2 -> 0 cycle, all controlled: every state revisits 0.
     ring = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 2), (2, 0)])
     # No assumptions: a 0 x n block.
-    assert gr1_winning(ring, [], [mask(3, 0)]) == {0, 1, 2}
+    assert gr1_winning(ring, [], [mask(3, 0)], warm=False) == {0, 1, 2}
 
     # The adversary at state 1 may divert to an absorbing state 2.
     trap = helpers.build_game(3, [0, 1, 0], [(0, 1), (1, 0), (1, 2), (2, 2)])
-    assert gr1_winning(trap, [], [mask(3, 0)]) == set()
+    assert gr1_winning(trap, [], [mask(3, 0)], warm=False) == set()
 
 
 def test_gr1_multiple_guarantees_need_all():
     # Two controlled loops; only state 1 is repeatable from {1}, so a
     # guarantee pair {1},{2} forces the empty region on a split graph.
     g = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 1), (2, 2)])
-    assert gr1_winning(g, [], [mask(3, 1), mask(3, 2)]) == set()
-    assert gr1_winning(g, [], [mask(3, 1)]) == {0, 1}
+    assert gr1_winning(g, [], [mask(3, 1), mask(3, 2)], warm=False) == set()
+    assert gr1_winning(g, [], [mask(3, 1)], warm=False) == {0, 1}
 
 
 def test_gr1_assumption_escape_counts_as_win():
@@ -168,13 +168,15 @@ def test_gr1_assumption_escape_counts_as_win():
     # Assumption: revisit 0 forever, so its complement is {1}; the
     # guarantee is unsatisfiable. Parking at 1 breaks the assumption, and
     # both states can reach 1.
-    assert gr1_winning(g, [mask(2, 1)], [mask(2)]) == {0, 1}
+    assert gr1_winning(g, [mask(2, 1)], [mask(2)], warm=False) == {0, 1}
 
 
 def test_gr1_universe_mismatch(g1_game):
     # A block one state wider than the graph.
     with pytest.raises(ValueError, match="set universe does not match game"):
-        solve_stable_conjunction(g1_game, [np.zeros((0, 3), dtype=bool)], [mask(2, 0)])
+        solve_stable_conjunction(
+            g1_game, [np.zeros((0, 3), dtype=bool)], [mask(2, 0)], warm=False
+        )
 
 
 @pytest.mark.parametrize(
@@ -191,7 +193,7 @@ def test_gr1_rejects_malformed_blocks_and_exit_sets(block, exits, message):
     # as a UFuncTypeError or a broadcast error.
     g = helpers.build_game(2, [0, 0], [(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=message):
-        solve_stable_conjunction(g, [block], [exits])
+        solve_stable_conjunction(g, [block], [exits], warm=False)
 
 
 def test_gr1_needs_one_block_per_guarantee():
@@ -199,7 +201,7 @@ def test_gr1_needs_one_block_per_guarantee():
     g = helpers.build_game(3, [0, 0, 0], [(0, 1), (1, 1), (2, 2)])
     no_assumptions = np.zeros((0, 3), dtype=bool)
     with pytest.raises(ValueError, match="2 exit sets for 1 persistence blocks"):
-        solve_stable_conjunction(g, [no_assumptions], [mask(3, 1), mask(3, 2)])
+        solve_stable_conjunction(g, [no_assumptions], [mask(3, 1), mask(3, 2)], warm=False)
 
 
 def test_gr1_warm_matches_cold():
@@ -210,5 +212,5 @@ def test_gr1_warm_matches_cold():
         rng = np.random.default_rng(seed)
         avoid, guarantees = rng.random((3, game.n)) < 0.2, rng.random((2, game.n)) < 0.3
         assert gr1_winning(game, avoid, guarantees, warm=True) == gr1_winning(
-            game, avoid, guarantees
+            game, avoid, guarantees, warm=False
         )

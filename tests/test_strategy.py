@@ -26,6 +26,11 @@ from mtgames.strategy import (
 )
 
 
+def all_states(n):
+    """The claim of every state of n, as the checker takes it."""
+    return StateSet(np.ones(n, dtype=bool))
+
+
 def solved(game, spec):
     return game, spec, solve_mt(game, spec)
 
@@ -105,7 +110,7 @@ def test_extract_requires_exhaustive_modes():
     )
     spec = helpers.one_mode_spec()
     result = solve_mt(g, spec)
-    assert 2 in result.winning
+    assert result.winning.bits[2]
     with pytest.raises(NonExhaustiveModes, match="carry no mode"):
         extract_strategy(g, spec, result)
 
@@ -121,7 +126,7 @@ def test_extract_domain_and_codomain():
         assert set(strat.choices) == expected_domain
         for v, w in strat.choices.items():
             assert w in [int(x) for x in game.successors(v)]
-            assert w in result.winning
+            assert result.winning.bits[w]
 
 
 def test_extract_choices_descend_iterate_ranks():
@@ -283,7 +288,7 @@ def test_check_flags_adversary_escape():
         {"M1": [0, 1, 2], "T11": [0]},
     )
     spec = helpers.one_mode_spec()
-    claimed = StateSet(3, [0, 1])
+    claimed = StateSet(helpers.mask_of(3, [0, 1]))
     verdict = check_strategy(g, spec, Strategy({0: 1}, 2), claimed)
     assert not verdict.ok
     assert verdict.reason == "escapes-winning"
@@ -302,7 +307,7 @@ def test_check_two_state_violating_cycle():
     )
     spec = parse_mt_formula("(FG M1 -> FG T11 | FG T12)")
     strat = Strategy({0: 1, 1: 0}, winning_size=2)
-    verdict = check_strategy(g, spec, strat, StateSet.full(2))
+    verdict = check_strategy(g, spec, strat, all_states(2))
     assert not verdict.ok
     assert verdict.reason == "violating-cycle"
     assert sorted(set(verdict.cycle)) == [0, 1]
@@ -312,7 +317,7 @@ def test_check_two_state_violating_cycle():
 
 def test_check_accepts_empty_claim(g2_game, one_mode_spec):
     verdict = check_strategy(
-        g2_game, one_mode_spec, Strategy({}, 0), StateSet.empty(2)
+        g2_game, one_mode_spec, Strategy({}, 0), StateSet(np.zeros(2, dtype=bool))
     )
     assert verdict.ok
 
@@ -320,7 +325,7 @@ def test_check_accepts_empty_claim(g2_game, one_mode_spec):
 def test_check_state_bound():
     game, spec = gen_random_game(10, 1, [1], 2.0, 0)
     with pytest.raises(BoundExceeded, match="checker bound"):
-        check_strategy(game, spec, Strategy({}, 0), StateSet.empty(10), max_states=5)
+        check_strategy(game, spec, Strategy({}, 0), StateSet(np.zeros(10, bool)), max_states=5)
 
 
 def test_check_passes_across_random_corpus():
@@ -335,7 +340,7 @@ def test_check_passes_across_random_corpus():
 def test_check_rejects_a_winning_set_of_another_universe():
     game, spec = gen_random_game(20, 1, [1], 2.0, 0)
     for universe in (5, 40):
-        claimed = StateSet(universe, range(universe))
+        claimed = all_states(universe)
         with pytest.raises(ValueError, match="does not belong to this game graph"):
             check_strategy(game, spec, Strategy({}, universe), claimed)
 
@@ -369,7 +374,7 @@ def test_check_reports_the_first_violating_component_of_a_mode():
     )
     spec = parse_mt_formula("(FG M1 -> FG T11 | FG T12) & (FG M2 -> FG T2)")
     strat = Strategy({1: 0, 2: 3, 3: 4, 4: 2, 5: 5}, 6)
-    verdict = check_strategy(g, spec, strat, StateSet.full(6))
+    verdict = check_strategy(g, spec, strat, all_states(6))
     assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M1", (3, 4, 2))
 
 
@@ -385,7 +390,7 @@ def test_check_reports_violating_modes_in_spec_order():
         ("(FG M1 -> FG T1) & (FG M2 -> FG T2)", "M1", (1, 0)),
         ("(FG M2 -> FG T2) & (FG M1 -> FG T1)", "M2", (2, 3)),
     ):
-        verdict = check_strategy(g, parse_mt_formula(formula), strat, StateSet.full(4))
+        verdict = check_strategy(g, parse_mt_formula(formula), strat, all_states(4))
         assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", mode, cycle)
 
 
@@ -396,7 +401,7 @@ def test_check_overlapping_modes_are_checked_one_at_a_time():
     g = helpers.build_game(
         2, [0, 0], [(0, 1), (1, 0)], {"M1": [0, 1], "M2": [0, 1], "T1": [0, 1], "T2": [0]}
     )
-    verdict = check_strategy(g, spec, Strategy({0: 1, 1: 0}, 2), StateSet.full(2))
+    verdict = check_strategy(g, spec, Strategy({0: 1, 1: 0}, 2), all_states(2))
     assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M2", (1, 0))
     # State 0 is in both modes, on an M1 cycle through 1 and an M2 cycle
     # through 2. Together the three states form one component that lies
@@ -407,7 +412,7 @@ def test_check_overlapping_modes_are_checked_one_at_a_time():
         [(0, 1), (0, 2), (1, 0), (2, 0)],
         {"M1": [0, 1], "M2": [0, 2], "T1": [0, 1], "T2": [0]},
     )
-    verdict = check_strategy(g, spec, Strategy({1: 0, 2: 0}, 3), StateSet.full(3))
+    verdict = check_strategy(g, spec, Strategy({1: 0, 2: 0}, 3), all_states(3))
     assert (verdict.reason, verdict.mode, verdict.cycle) == ("violating-cycle", "M2", (2, 0))
     assert not lasso_satisfies(spec, verdict.lasso(g))
 
@@ -456,27 +461,27 @@ def test_strategy_round_trip():
     strat = Strategy({3: 1, 0: 2}, winning_size=4)
     text = format_strategy(strat)
     assert text == "# winning 4 states\nmove 0 2\nmove 3 1\n"
-    assert parse_strategy(text) == strat
+    assert parse_strategy(text, 4) == strat
 
 
 def test_strategy_parse_tolerates_comments_and_blanks():
-    strat = parse_strategy("# winning 2 states\n\n# note\nmove 0 1\n")
+    strat = parse_strategy("# winning 2 states\n\n# note\nmove 0 1\n", 2)
     assert strat.choices == {0: 1}
     assert strat.winning_size == 2
 
 
 def test_strategy_parse_errors():
     with pytest.raises(GameParseError, match="expected 'move"):
-        parse_strategy("move 0\n")
+        parse_strategy("move 0\n", 2)
     with pytest.raises(GameParseError, match="duplicate move"):
-        parse_strategy("move 0 1\nmove 0 2\n")
+        parse_strategy("move 0 1\nmove 0 2\n", 3)
     with pytest.raises(GameParseError) as err:
-        parse_strategy("move 0 1\nbogus\n")
+        parse_strategy("move 0 1\nbogus\n", 2)
     assert err.value.line == 2
 
 
 def test_winning_round_trip():
-    s = StateSet(5, [0, 2, 4])
+    s = StateSet(helpers.mask_of(5, [0, 2, 4]))
     text = format_winning(s)
     assert text == "# 3 states\n0\n2\n4\n"
     assert parse_winning(text, 5) == s
